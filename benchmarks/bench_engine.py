@@ -4,9 +4,9 @@ A deployed access point serves a stream that is mostly queries from a
 recurring pool of sources, with occasional cost re-declarations mixed
 in (the 90/10 mix of :func:`repro.engine.generate_workload`; updates
 re-declare *any* of the 500 nodes, not just pool members). The engine
-answers from its versioned SPT/payment caches and fast-forwards stale
-entries through the update log; the baseline prices every query from
-scratch with Algorithm 1 on the then-current graph.
+answers from its versioned SPT/payment caches, rebuilds stale trees and
+fast-forwards stale pairs through the update log; the baseline prices
+every query from scratch with Algorithm 1 on the then-current graph.
 
 Steady state is measured the honest way: one long workload, the first
 half replayed once to warm the caches (untimed), the second half — whose

@@ -29,36 +29,15 @@ at:
 A stamp that does not match the current version marks the entry stale.
 A *node cost update* itself does almost no work: it swaps the graph
 snapshot, bumps the version and appends a ``(node, old, new)`` record
-to a bounded **update log**. Whether a stale entry is still usable is
-decided lazily, at lookup, by *fast-forwarding* it through the logged
-updates one at a time — entries nobody asks for again never cost
-anything. A fast-forwarded entry is re-stamped (counted per logged step
-as ``retained`` or ``repairs``); one that fails is evicted (counted as
-``stale_evictions``). Per logged update ``k: c_old -> c_new``:
-
-* **SPT survival and repair.** A cached tree ``T`` with distance array
-  ``d`` survives unchanged (node-weighted convention: ``d[x]`` counts
-  internal nodes only, so ``d`` never includes ``c_k`` on paths *to*
-  ``k`` — in particular ``d[k]`` itself is exact on both graphs) iff
-  ``k`` is the root, unreachable, or — for a **decrease** — no
-  neighbour can be improved through it: ``d[k] + c_new >= d[w]`` for
-  every neighbour ``w`` (the standard Dijkstra optimality certificate —
-  only relaxations *through* ``k`` changed); for an **increase** —
-  ``k`` has no tree children, so no witnessed shortest path uses ``k``
-  internally and alternatives through ``k`` only got worse.
-
-  A tree that fails its certificate is **repaired** in place of a full
-  rebuild, Ramalingam–Reps style. After a *decrease*, only paths
-  through ``k`` improved, so a partial Dijkstra seeded with ``k``'s
-  relaxations (``d[k] + c_new`` into each neighbour) settles exactly
-  the improved region. After an *increase*, only ``k``'s strict tree
-  descendants can change: their distances are cleared, each is seeded
-  from its best settled (non-descendant) neighbour, and a Dijkstra
-  restricted to the region finishes the job. Both repairs perform the
-  same left-to-right float additions along each node's new tree path
-  that a from-scratch Dijkstra would, and untouched nodes keep their
-  old floats — so repaired trees are **bit-identical** to fresh ones
-  (``tests/test_engine.py`` asserts exactly this).
+to a bounded **update log**. A stale *tree* is simply rebuilt at its
+next use: measured on steady-state workloads, incremental tree repair
+never beat one compiled Dijkstra. A stale *pair* is worth more (two trees plus an Algorithm-1
+pass), so whether it is still usable is decided lazily, at lookup, by
+*fast-forwarding* it through the logged updates one at a time —
+entries nobody asks for again never cost anything. A fast-forwarded
+pair is re-stamped (counted per logged step as ``retained``); one that
+fails is dropped (counted as ``invalidations``, or ``stale_evictions``
+when it aged out of the log). Per logged update ``k: c_old -> c_new``:
 
 * **Pair survival.** A cached result for ``(s, t)`` survives trivially
   when ``k`` is an endpoint (endpoint costs never enter path costs or
@@ -80,8 +59,8 @@ as ``retained`` or ``repairs``); one that fails is evicted (counted as
 Topology changes (``remove_node``/``add_node``) and link-model arc
 updates clear the log instead: the version bump lazily invalidates
 everything, which is always sound. The log is capped
-(``_LOG_CAP`` updates); entries older than the cap fall back to a
-plain rebuild at next use.
+(``_LOG_CAP`` updates); pairs older than the cap fall back to a
+plain recompute at next use.
 
 Exactness caveat: retention is value-exact; the returned *path* is
 additionally identical whenever the least cost path is unique (generic
@@ -171,7 +150,6 @@ from repro.obs.context import request_scope
 from repro.obs.flight import FLIGHT as _flight
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.tracing import TRACER as _tracer
-from repro.utils.heap import IndexedMinHeap
 from repro.utils.validation import check_node_index
 
 __all__ = ["PricingEngine", "EngineStats"]
@@ -185,13 +163,13 @@ class EngineStats:
     them under ``engine.*`` when enabled).
 
     ``cache_hits``/``cache_misses`` count pair-cache outcomes per priced
-    pair; ``spt_cache_*`` the endpoint-tree cache; ``invalidations``
-    entries dropped at lookup because a logged update provably dirtied
-    them; ``stale_evictions`` entries dropped because they aged out of
-    the update log (topology change, log cap, or an explicit
-    :meth:`PricingEngine.purge_stale`); ``retained`` fast-forward steps
-    that carried an entry through a logged update unchanged;
-    ``repairs`` cached trees incrementally patched through one.
+    pair; ``spt_cache_*`` the endpoint-tree cache (a stale tree is a
+    miss and is rebuilt). ``invalidations`` and ``retained`` count pair
+    fast-forward steps only: pairs dropped at lookup because a logged
+    update could have changed them, and steps that carried a pair
+    through a logged update unchanged. ``stale_evictions`` counts
+    entries dropped because they aged out of the update log (topology
+    change, log cap, or an explicit :meth:`PricingEngine.purge_stale`).
 
     ``wal_records``/``checkpoint_writes``/``recoveries`` count the
     durability layer (:mod:`repro.engine.persist`): mutations appended
@@ -209,7 +187,6 @@ class EngineStats:
     invalidations: int = 0
     stale_evictions: int = 0
     retained: int = 0
-    repairs: int = 0
     updates: int = 0
     wal_records: int = 0
     checkpoint_writes: int = 0
@@ -230,26 +207,19 @@ def _empty_payment(source: int, target: int, scheme: str) -> UnicastPayment:
     return UnicastPayment(source, target, (), 0.0, {}, scheme=scheme)
 
 
-#: Cost updates remembered for lazy fast-forwarding; entries older than
-#: this fall back to a plain rebuild at next use (memory bound: one cost
-#: vector plus one lazily built witness tree per remembered update).
+#: Cost updates remembered for lazy pair fast-forwarding; pairs older
+#: than this fall back to a plain recompute at next use (memory bound:
+#: one cost vector plus one lazily built witness tree per remembered
+#: update).
 _LOG_CAP = 128
-
-#: Trees more than this many updates behind are rebuilt instead of
-#: fast-forwarded: each step costs a survival cert plus an occasional
-#: repair, and past roughly this many steps one compiled-backend
-#: Dijkstra is cheaper than the chain. Pairs have no such cap — their
-#: per-step bound test is two array reads against an already-built
-#: witness tree, orders of magnitude below a recompute.
-_SPT_FF_CAP = 10
 
 
 @dataclass
 class _CostUpdate:
-    """One logged node-cost update, with everything fast-forward needs:
-    the snapshot it produced (repairs must replay relaxations against
-    *that* graph's costs) and a lazily built witness tree rooted at the
-    updated node (see the module docstring's pair-survival test)."""
+    """One logged node-cost update, with everything pair fast-forward
+    needs: the snapshot it produced and a witness tree rooted at the
+    updated node, built lazily on that snapshot (see the module
+    docstring's pair-survival test)."""
 
     node: int
     old: float
@@ -484,14 +454,10 @@ class PricingEngine:
 
     def _spt_of(self, root: int) -> ShortestPathTree:
         entry = self._spts.get(root)
-        if entry is not None:
-            stamp, spt = entry
-            if stamp != self._version:
-                spt = self._fast_forward_spt(root, stamp, spt)
-            if spt is not None:
-                self.stats.spt_cache_hits += 1
-                self._count("spt_cache_hits")
-                return spt
+        if entry is not None and entry[0] == self._version:
+            self.stats.spt_cache_hits += 1
+            self._count("spt_cache_hits")
+            return entry[1]
         self.stats.spt_cache_misses += 1
         self._count("spt_cache_misses")
         _flight.record("rebuild", version=self._version, value=float(root))
@@ -499,39 +465,6 @@ class PricingEngine:
             self._graph, root, backend=spt_backend_for(self._backend)
         )
         self._spts[root] = (self._version, spt)
-        return spt
-
-    def _fast_forward_spt(
-        self, root: int, stamp: int, spt: ShortestPathTree
-    ) -> ShortestPathTree | None:
-        """Carry a stale tree through the logged updates, or drop it."""
-        if stamp < self._log_floor or self._version - stamp > _SPT_FF_CAP:
-            # pop, not del: two readers racing on the same stale root
-            # both take this branch (benign — each rebuilds the same
-            # tree from the same snapshot).
-            self._spts.pop(root, None)
-            self.stats.stale_evictions += 1
-            self._count("stale_evictions")
-            _flight.record("evict", version=self._version, value=float(root))
-            return None
-        for v in range(stamp + 1, self._version + 1):
-            upd = self._log[v]
-            if self._spt_survives(spt, upd):
-                self.stats.retained += 1
-                self._count("retained")
-            else:
-                spt = self._repair_spt(spt, upd)
-                self.stats.repairs += 1
-                self._count("repairs")
-                _flight.record(
-                    "repair", version=self._version, value=float(root)
-                )
-        self._spts[root] = (self._version, spt)
-        _flight.record(
-            "fast_forward",
-            version=self._version,
-            value=float(self._version - stamp),
-        )
         return spt
 
     # -- queries -------------------------------------------------------------
@@ -851,9 +784,9 @@ class PricingEngine:
 
         Node model: ``node_or_edge`` is a node id and ``value`` its new
         declared cost (the ``d |^i d_i`` operation). The update itself
-        only swaps the snapshot and logs the change; cached entries are
-        fast-forwarded through the log lazily at their next lookup (see
-        the module docstring). Link model: ``node_or_edge`` is an
+        only swaps the snapshot and logs the change; cached pairs are
+        fast-forwarded through the log lazily at their next lookup and
+        stale trees are rebuilt (see the module docstring). Link model: ``node_or_edge`` is an
         ``(u, v)`` arc (``inf`` drops it) and all caches are
         conservatively invalidated via the version bump.
 
@@ -916,99 +849,6 @@ class PricingEngine:
                 upd.graph, upd.node, backend=spt_backend_for(self._backend)
             )
         return upd.witness
-
-    def _spt_survives(self, spt: ShortestPathTree, upd: _CostUpdate) -> bool:
-        k = upd.node
-        if k == spt.root or not np.isfinite(spt.dist[k]):
-            return True
-        if upd.new > upd.old:
-            # Increase: safe iff no witnessed path uses k internally.
-            return not (spt.parent == k).any()
-        # Decrease: safe iff no relaxation through k improves a neighbour.
-        nbrs = upd.graph.neighbors(k)
-        return bool(np.all(spt.dist[k] + upd.new >= spt.dist[nbrs]))
-
-    def _repair_spt(
-        self, spt: ShortestPathTree, upd: _CostUpdate
-    ) -> ShortestPathTree:
-        """Incrementally rebuild a tree that failed its survival cert.
-
-        Only called with ``k`` non-root and reachable (``_spt_survives``
-        handles the trivial cases); ``upd.graph`` carries the costs the
-        update produced. Both branches replay the relaxations a fresh
-        Dijkstra would perform on the affected region — same strict
-        ``<``, same left-to-right float additions along each new tree
-        path — and leave every other node's floats untouched, so the
-        repaired tree is bit-identical to a from-scratch build (up to
-        parent choice on exactly-tied paths, the repo-wide uniqueness
-        caveat).
-        """
-        g = upd.graph
-        k = upd.node
-        dist = spt.dist.copy()
-        parent = spt.parent.copy()
-        costs, indptr, indices = g.costs, g.indptr, g.indices
-        root = spt.root
-        heap = IndexedMinHeap(g.n)
-        if upd.new < upd.old:
-            # Decrease: only paths through k improved. Seed k's own
-            # relaxations (dist[k] is exact on both graphs — no path to
-            # k pays c_k) and settle the improved region outward. The
-            # root and k itself can never improve (every candidate path
-            # runs through k first, then adds non-negative costs).
-            step = float(dist[k]) + upd.new
-            for w in indices[indptr[k] : indptr[k + 1]]:
-                if step < dist[w]:
-                    dist[w] = step
-                    parent[w] = k
-                    heap.push(int(w), step)
-            while heap:
-                u, du = heap.pop()
-                step = du + costs[u]
-                for w in indices[indptr[u] : indptr[u + 1]]:
-                    if step < dist[w]:
-                        dist[w] = step
-                        parent[w] = int(u)
-                        heap.push(int(w), step)
-        else:
-            # Increase: only k's strict tree descendants can change —
-            # any other node's witnessed path avoids k internally and
-            # alternatives through k only got worse. Clear the region,
-            # seed each region node from its best settled neighbour
-            # (which includes k, now at its worse cost), and run a
-            # Dijkstra restricted to the region. Topology is unchanged,
-            # so every region node is re-reached.
-            in_region = spt.parent == k
-            frontier = np.flatnonzero(in_region)
-            while frontier.size:
-                frontier = np.flatnonzero(
-                    np.isin(spt.parent, frontier) & ~in_region
-                )
-                in_region[frontier] = True
-            dist[in_region] = np.inf
-            parent[in_region] = -1
-            for w in np.flatnonzero(in_region):
-                best, best_u = np.inf, -1
-                for u in indices[indptr[w] : indptr[w + 1]]:
-                    if in_region[u] or not np.isfinite(dist[u]):
-                        continue
-                    step = dist[u] + (costs[u] if u != root else 0.0)
-                    if step < best:
-                        best, best_u = step, int(u)
-                if best_u >= 0:
-                    dist[w] = best
-                    parent[w] = best_u
-                    heap.push(int(w), float(best))
-            while heap:
-                u, du = heap.pop()
-                in_region[u] = False
-                step = du + costs[u]
-                for w in indices[indptr[u] : indptr[u + 1]]:
-                    if in_region[w] and step < dist[w]:
-                        dist[w] = step
-                        parent[w] = int(u)
-                        heap.push(int(w), step)
-        return ShortestPathTree(root, dist, parent)
 
     def _pair_survives(
         self, res: object, key: tuple[int, int], upd: _CostUpdate

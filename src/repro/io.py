@@ -44,6 +44,7 @@ registering a migration — identical to evolving an on-disk format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -302,12 +303,26 @@ def _link_table_from_dict(d: dict) -> LinkPaymentTable:
 # ---------------------------------------------------------------------------
 
 
+def _deadline(value: float | None) -> float | None:
+    """A wire ``deadline_s`` as a float; ``json.loads`` accepts the
+    ``NaN``/``Infinity`` literals, so non-finite budgets are rejected
+    here along with non-positive ones."""
+    if value is None:
+        return None
+    budget = float(value)
+    if not (math.isfinite(budget) and budget > 0):
+        raise InvalidRequestError(
+            f"deadline_s must be a finite positive number, got {budget}"
+        )
+    return budget
+
+
 @dataclass(frozen=True)
 class PriceRequest:
     """``POST /v1/price`` body: one ``(source, target)`` query.
 
     ``deadline_s`` overrides the service's default per-request deadline
-    (must be positive when given).
+    (must be finite and positive when given).
     """
 
     source: int
@@ -317,12 +332,7 @@ class PriceRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", int(self.source))
         object.__setattr__(self, "target", int(self.target))
-        if self.deadline_s is not None:
-            object.__setattr__(self, "deadline_s", float(self.deadline_s))
-            if self.deadline_s <= 0:
-                raise InvalidRequestError(
-                    f"deadline_s must be positive, got {self.deadline_s}"
-                )
+        object.__setattr__(self, "deadline_s", _deadline(self.deadline_s))
 
 
 @dataclass(frozen=True)
@@ -339,12 +349,7 @@ class PriceManyRequest:
         if not pairs:
             raise InvalidRequestError("pairs must be non-empty")
         object.__setattr__(self, "pairs", pairs)
-        if self.deadline_s is not None:
-            object.__setattr__(self, "deadline_s", float(self.deadline_s))
-            if self.deadline_s <= 0:
-                raise InvalidRequestError(
-                    f"deadline_s must be positive, got {self.deadline_s}"
-                )
+        object.__setattr__(self, "deadline_s", _deadline(self.deadline_s))
 
 
 #: The mutations ``POST /v1/update`` accepts (engine method per op).

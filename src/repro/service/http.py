@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import socket
 import struct
 import threading
@@ -510,17 +511,31 @@ def _make_handler(server: ServiceServer) -> type:
                         status=decision.status,
                     )
                 )
-                # Drain the unread request body first so keep-alive
-                # framing can't misparse it as the next request.
-                length = int(self.headers.get("Content-Length") or 0)
+                # Drain the unread request body first: closing with
+                # unread bytes resets the connection, and the client
+                # could lose the response.
+                length = self._content_length()
                 if 0 < length <= MAX_BODY_BYTES:
                     self.rfile.read(length)
                 self._send_json(doc, status=decision.status, request_id=rid)
                 return True
             return False
 
+        def _content_length(self) -> int:
+            raw = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise InvalidRequestError(
+                    "Content-Length must be a non-negative integer, "
+                    f"got {raw!r}"
+                )
+            return length
+
         def _read_body(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._content_length()
             if length > MAX_BODY_BYTES:
                 raise InvalidRequestError(
                     f"request body of {length} bytes exceeds the "
@@ -542,9 +557,9 @@ def _make_handler(server: ServiceServer) -> type:
                 raise InvalidRequestError(
                     f"X-Deadline-S must be a number, got {raw!r}"
                 ) from None
-            if budget <= 0:
+            if not (math.isfinite(budget) and budget > 0):
                 raise InvalidRequestError(
-                    f"X-Deadline-S must be positive, got {budget}"
+                    f"X-Deadline-S must be a finite positive number, got {raw!r}"
                 )
             return budget
 
@@ -574,9 +589,9 @@ def _make_handler(server: ServiceServer) -> type:
                             f"{path} expects a {envelope.__name__} "
                             f"envelope, got {type(payload).__name__}"
                         )
-                    # Body fully read (keep-alive framing safe): a
-                    # retried update with a known key replays the
-                    # cached first response instead of re-applying.
+                    # Body fully read and valid: a retried update with
+                    # a known key replays the cached first response
+                    # instead of re-applying.
                     idem_key = None
                     if path == "/v1/update":
                         idem_key = self.headers.get("Idempotency-Key")

@@ -27,16 +27,18 @@ caller's side of the wire:
 
 Retry safety is not symmetric across endpoints. ``/v1/price`` and
 ``/v1/price_many`` are GET-safe reads — retried unconditionally.
-``/v1/update`` mutates: the client attaches a deterministic
-``Idempotency-Key`` header, the server replays the cached first
-response for a duplicate key, and — second line of defense, surviving
-a server restart that drops the cache — re-applying ``update_cost``
-with an unchanged value is a version-preserving no-op in the engine.
+``/v1/update`` mutates: the client attaches an ``Idempotency-Key``
+header, unique per client and call; the server replays the cached
+first response for a duplicate key, and — second line of defense,
+surviving a server restart that drops the cache — re-applying
+``update_cost`` with an unchanged value is a version-preserving no-op
+in the engine.
 
-Determinism: with a fixed ``seed`` the client's jitter schedule and
-idempotency keys are reproducible; the breaker takes an injectable
-``time_fn`` so its state machine can be driven with a fake clock in
-tests.
+Determinism: with a fixed ``seed`` the client's jitter schedule is
+reproducible. Idempotency keys are not: each client draws a random
+key prefix, so two clients built with the same ``seed`` never share
+keys. The breaker takes an injectable ``time_fn`` so its state machine
+can be driven with a fake clock in tests.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import json
 import threading
 import time
 import urllib.parse
+import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -299,9 +302,11 @@ class PricingClient:
         self._mu = threading.Lock()
         self._local = threading.local()
         self._closed = False
-        # Deterministic idempotency-key stream: seed-derived prefix +
-        # a process-wide-unique-enough counter.
-        self._idem_prefix = f"c{seed}-{self._rng.getrandbits(32):08x}"
+        # Idempotency keys: a random per-client prefix + a counter. The
+        # prefix must not follow ``seed``: two same-seed clients would
+        # send the same keys, and the server would answer the second
+        # client's updates from the first one's cached replies.
+        self._idem_prefix = uuid.uuid4().hex
         self._idem_seq = 0
 
     # ------------------------------------------------------------------

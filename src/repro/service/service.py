@@ -46,6 +46,7 @@ registry (:mod:`repro.obs.metrics`) next to the ``engine.*`` family.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -221,9 +222,9 @@ class PricingService:
             raise InvalidRequestError(
                 f"max_queue must be >= 1, got {max_queue}"
             )
-        if deadline_s <= 0:
+        if not (math.isfinite(deadline_s) and deadline_s > 0):
             raise InvalidRequestError(
-                f"deadline_s must be positive, got {deadline_s}"
+                f"deadline_s must be a finite positive number, got {deadline_s}"
             )
         self._engine = engine
         self._jobs = jobs
@@ -323,9 +324,9 @@ class PricingService:
 
     def _resolve_deadline(self, deadline_s: float | None) -> float:
         budget = self._deadline_s if deadline_s is None else float(deadline_s)
-        if budget <= 0:
+        if not (math.isfinite(budget) and budget > 0):
             raise InvalidRequestError(
-                f"deadline_s must be positive, got {budget}"
+                f"deadline_s must be a finite positive number, got {budget}"
             )
         return time.monotonic() + budget
 

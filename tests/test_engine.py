@@ -96,41 +96,6 @@ class TestInterleavingProperty:
         assert eng.n == current.n
 
 
-class TestSptRepair:
-    """The fast-forward machinery itself: a cached tree carried through
-    any sequence of cost updates must equal a from-scratch rebuild on
-    the current graph — dist bit-for-bit, parents exactly (continuous
-    costs make shortest paths unique almost surely)."""
-
-    @given(
-        biconnected_graphs(min_nodes=6, max_nodes=16),
-        st.integers(0, 2**31 - 1),
-        st.integers(5, 25),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_fast_forwarded_trees_bit_identical(self, g, seed, n_updates):
-        from repro.graph.dijkstra import node_weighted_spt
-
-        eng = PricingEngine(g, on_monopoly="inf")
-        rng = np.random.default_rng(seed)
-        roots = [int(r) for r in rng.choice(g.n, size=min(4, g.n), replace=False)]
-        for r in roots:
-            eng._spt_of(r)
-        current = g
-        for _ in range(n_updates):
-            node = int(rng.integers(current.n))
-            value = float(rng.uniform(0.5, 20.0))
-            eng.update_cost(node, value)
-            current = current.with_declaration(node, value)
-            for r in roots:
-                got = eng._spt_of(r)
-                want = node_weighted_spt(current, r, backend="python")
-                assert np.array_equal(got.dist, want.dist), (r, node, value)
-                assert np.array_equal(got.parent, want.parent), (r, node, value)
-        # The walk must actually exercise the incremental paths.
-        assert eng.stats.retained + eng.stats.repairs > 0
-
-
 class TestCaching:
     def test_cache_hit_same_answer(self, random_graph):
         eng = PricingEngine(random_graph)

@@ -461,9 +461,10 @@ class TestClientRetryMechanics:
         keys = [r["headers"]["idempotency-key"] for r in script.requests]
         assert keys[0] == keys[1]  # the retry replays the same key
         assert keys[2] != keys[0]  # a new call mints a new key
-        # Keys are seed-deterministic: a fresh client repeats them.
-        with _fast_client(url, seed=5) as clone:
-            assert clone._idem_prefix == keys[0].rsplit("-", 1)[0]
+        # Keys do not follow the seed: a same-seed client mints a
+        # disjoint prefix, so its updates are never replayed as ours.
+        with _fast_client(url, seed=5) as twin:
+            assert twin._idem_prefix != keys[0].rsplit("-", 1)[0]
 
     def test_reads_carry_no_idempotency_key(self, scripted):
         url, script = scripted([("json", 200, {}, {"status": "ok"})])
@@ -647,6 +648,21 @@ class TestChaosOnTheWire:
                 assert client.stats.idempotent_replays == 1
                 # Applied exactly once: the engine is at version 1.
                 assert svc.engine.version == 1
+        finally:
+            server.stop()
+            svc.close()
+
+    def test_same_seed_clients_both_apply_their_updates(self):
+        # Two default-seed clients against one server: each update must
+        # be applied, not answered from the other client's cached reply.
+        _g, svc, server = _stack()
+        try:
+            with _fast_client(server.url) as a, _fast_client(server.url) as b:
+                a.update_cost(3, 7.25)
+                b.update_cost(4, 8.5)
+                costs = a.graph().graph.costs
+            assert costs[3] == 7.25 and costs[4] == 8.5
+            assert svc.engine.version == 2
         finally:
             server.stop()
             svc.close()

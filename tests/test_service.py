@@ -10,6 +10,7 @@ graceful drain, and the HTTP wire surface.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -238,11 +239,16 @@ class TestServiceBasics:
             PricingService(eng, workers=0)
         with pytest.raises(InvalidRequestError):
             PricingService(eng, max_queue=0)
-        with pytest.raises(InvalidRequestError):
-            PricingService(eng, deadline_s=0.0)
         svc = PricingService(eng)
-        with pytest.raises(InvalidRequestError):
-            svc.price(1, 0, deadline_s=-1.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidRequestError):
+                PricingService(eng, deadline_s=bad)
+            with pytest.raises(InvalidRequestError):
+                svc.price(1, 0, deadline_s=bad)
+            with pytest.raises(InvalidRequestError):
+                svc.price_many([(1, 0)], deadline_s=bad)
+            with pytest.raises(InvalidRequestError):
+                repro_io.PriceRequest(1, 0, deadline_s=bad)
         with pytest.raises(InvalidRequestError):
             svc.price_many([])
         svc.close()
@@ -693,6 +699,52 @@ class TestHTTP:
         err = repro_io.from_wire(doc)
         assert err.code == "request.invalid"
         assert "PriceRequest" in err.message
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_deadline_header_maps_to_400(self, http_server, value):
+        body = json.dumps(repro_io.to_wire(repro_io.PriceRequest(5, 0))).encode()
+        req = urllib.request.Request(
+            f"{http_server.url}/v1/price",
+            data=body,
+            headers={"Content-Type": "application/json", "X-Deadline-S": value},
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(req, timeout=10)
+        assert info.value.code == 400
+        err = repro_io.from_wire(json.load(info.value))
+        assert err.code == "request.invalid"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_envelope_deadline_maps_to_400(self, http_server, literal):
+        doc = repro_io.to_wire(repro_io.PriceRequest(5, 0))
+        body = json.dumps(doc).replace('"deadline_s": null', f'"deadline_s": {literal}')
+        assert literal in body
+        status, doc = _post_raw(f"{http_server.url}/v1/price", body.encode())
+        assert status == 400
+        assert repro_io.from_wire(doc).code == "request.invalid"
+
+    def test_bad_content_length_maps_to_400_without_hanging(self, http_server):
+        # http.client always sends the true length, so lie over a raw
+        # socket. A non-integer must not crash the handler, and -1 must
+        # not block reading the body until EOF.
+        for value in ("abc", "-1"):
+            with socket.create_connection(
+                ("127.0.0.1", http_server.port), timeout=3.0
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/price HTTP/1.0\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {value}\r\n\r\n".encode()
+                )
+                chunks = []
+                while chunk := sock.recv(4096):
+                    chunks.append(chunk)
+            head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400", (value, head)
+            err = repro_io.from_wire(json.loads(body))
+            assert isinstance(err, repro_io.ErrorResponse)
+            assert err.code == "request.invalid"
+            assert "Content-Length" in err.message
 
     def test_draining_service_maps_to_503(self, http_server):
         http_server.service.close()
