@@ -11,6 +11,11 @@ source, target)`` from scratch and demands bit-identity. The
 acceptance bar: **zero mismatches** while sustaining **>= 500 req/s**
 through the full service stack (admission queue, coalescing, worker
 pool — everything but the HTTP socket).
+
+Two legs add the socket: a chaos leg drives the same zero-mismatch
+gate through ``PricingClient`` retries against injected faults, and a
+keep-alive leg times serial warm hits over one persistent HTTP/1.1
+connection and demands that exactly one connection was opened.
 """
 
 import threading
@@ -331,3 +336,72 @@ def test_service_chaos_client_zero_mismatches(benchmark, scale):
     # The plan must actually have fired — a silently-null plan would
     # make this gate vacuous.
     assert faults > 0
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive leg: serial warm hits over one persistent HTTP/1.1
+# connection — the request path with no connect, accept or thread spawn.
+# ---------------------------------------------------------------------------
+
+KEEPALIVE_CALLS = 2000
+
+
+def test_http_warm_hit_keepalive(benchmark):
+    """One ``PricingClient`` prices warm pairs serially through a live
+    ``ServiceServer``: every call must ride the first connection, and
+    every answer must equal ``engine.price`` at the version it names."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.service import PricingClient, ServiceServer
+
+    g = _udg_instance()
+    rng = np.random.default_rng(7)
+    hot = [
+        int(s)
+        for s in rng.choice(np.arange(1, g.n), size=HOT_SOURCES, replace=False)
+    ]
+    eng = PricingEngine(g, on_monopoly="inf")
+    svc = PricingService(eng, workers=4, max_queue=64, deadline_s=30.0)
+    for s in hot:
+        svc.price(s, 0)  # every timed call is a pair-cache hit
+    registry = MetricsRegistry(enabled=True)
+    server = ServiceServer(svc, port=0, registry=registry).start()
+    client = PricingClient(server.url, metrics=MetricsRegistry())
+    answers = []
+    rtts = []
+
+    def serial_hits():
+        for i in range(KEEPALIVE_CALLS):
+            s = hot[i % len(hot)]
+            t0 = time.perf_counter()
+            resp = client.price(s, 0)
+            rtts.append(time.perf_counter() - t0)
+            answers.append((s, resp.graph_version, _answer_key(resp.payment)))
+
+    try:
+        benchmark.pedantic(serial_hits, rounds=1, iterations=1)
+        connections_opened = registry.snapshot().counters.get(
+            "service.http.connections", 0
+        )
+    finally:
+        client.close()
+        server.stop()
+    mismatches = 0
+    for s, version, got in answers:
+        want, want_version = eng.price_versioned(s, 0)
+        if version != want_version or got != _answer_key(want):
+            mismatches += 1
+    svc.close()
+
+    median_us = float(np.median(rtts)) * 1e6
+    emit(
+        f"keep-alive leg: {len(answers)} serial warm hits, median round "
+        f"trip {median_us:.0f} us, {connections_opened} connection(s) "
+        f"opened, {mismatches} mismatches"
+    )
+    benchmark.extra_info["calls"] = len(answers)
+    benchmark.extra_info["median_rtt_us"] = round(median_us, 1)
+    benchmark.extra_info["connections_opened"] = connections_opened
+    benchmark.extra_info["mismatches"] = mismatches
+    assert len(answers) == KEEPALIVE_CALLS
+    assert connections_opened == 1
+    assert mismatches == 0

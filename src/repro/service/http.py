@@ -58,6 +58,20 @@ The server itself stays deliberately stdlib:
 connection, and the admission queue inside
 :class:`~repro.service.PricingService` — not the socket listener — is
 the concurrency limiter that matters.
+
+Connections are HTTP/1.1 and persistent: one client connection carries
+all of its requests, so a warm price pays no TCP connect, accept or
+thread spawn. Each response leaves in a single write (status line,
+headers and body together), because a split write on a kept-alive
+connection stalls on Nagle's algorithm against the peer's delayed ACK.
+A response closes its connection (``Connection: close``) when it is
+sent without reading the whole request body — an unknown POST route, a
+bad or oversized ``Content-Length``, a ``Transfer-Encoding`` body — so
+leftover bytes are never parsed as the next request, and once the
+service is draining. Idle connections time out after
+:data:`IDLE_TIMEOUT_S`, and :meth:`ServiceServer.stop` shuts down every
+live connection. HTTP/1.0 requests still close after one response.
+Accepted connections are counted as ``service.http.connections``.
 """
 
 from __future__ import annotations
@@ -67,6 +81,7 @@ import json
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -89,7 +104,7 @@ from repro.obs.tracing import TRACER
 from repro.service.chaos import ChaosPlan
 from repro.service.service import PricingService
 
-__all__ = ["ServiceServer", "ENDPOINTS"]
+__all__ = ["ServiceServer", "ENDPOINTS", "IDLE_TIMEOUT_S"]
 
 _log = obs_logging.get_logger("service.http")
 
@@ -110,6 +125,73 @@ ENDPOINTS = {
 #: request is tiny; a batch of every pair in a 10k-node graph still
 #: fits comfortably).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before its handler thread closes it.
+IDLE_TIMEOUT_S = 60.0
+
+
+class _Listener(ThreadingHTTPServer):
+    """The stdlib threading server, plus a registry of live connections.
+
+    ``ThreadingHTTPServer`` neither tracks nor joins its daemon handler
+    threads, so a kept-alive connection would outlive
+    :meth:`ServiceServer.stop`; :meth:`close_connections` ends them.
+    """
+
+    def __init__(self, address, handler, registry: MetricsRegistry) -> None:
+        super().__init__(address, handler)
+        self._registry = registry
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_mu = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-service-conn",
+            daemon=True,
+        )
+        with self._live_mu:
+            self._live[request] = thread
+        self._registry.add("service.http.connections")
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._live_mu:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A peer that resets its kept-alive connection is routine, not
+        # a server fault worth a stderr traceback.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
+    @property
+    def open_connections(self) -> int:
+        with self._live_mu:
+            return len(self._live)
+
+    def close_connections(self, timeout_s: float) -> None:
+        """Shut down every live connection and join its handler thread.
+
+        ``SHUT_RD`` wakes a handler blocked on the next request with
+        EOF, while a response already being written still goes out.
+        Holding the lock keeps :meth:`shutdown_request` from closing a
+        socket between the snapshot and its shutdown.
+        """
+        with self._live_mu:
+            threads = list(self._live.values())
+            for sock in self._live:
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        deadline = time.monotonic() + timeout_s
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class ServiceServer:
@@ -159,7 +241,7 @@ class ServiceServer:
         self._idem_cap = int(idempotency_cap)
         self._idem: OrderedDict[str, dict] = OrderedDict()
         self._idem_mu = threading.Lock()
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _Listener | None = None
         self._thread: threading.Thread | None = None
         self._started_at = 0.0
 
@@ -170,8 +252,8 @@ class ServiceServer:
         if self._httpd is not None:
             raise RuntimeError("ServiceServer is already running")
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), handler
+        self._httpd = _Listener(
+            (self._host, self._requested_port), handler, self.registry
         )
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
@@ -187,16 +269,20 @@ class ServiceServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting connections and join the listener (idempotent).
+        """Stop accepting connections, end the open ones, and join the
+        listener (idempotent).
 
-        Does *not* drain the service — call
-        :meth:`PricingService.close` after this for the full graceful
-        shutdown (listener first, so no new requests race the drain).
+        Kept-alive connections are shut down too, so no client keeps
+        being served after this returns. Does *not* drain the service —
+        call :meth:`PricingService.close` after this for the full
+        graceful shutdown (listener first, so no new requests race the
+        drain).
         """
         if self._httpd is None:
             return
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections(timeout_s=5.0)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self._httpd = None
@@ -222,6 +308,13 @@ class ServiceServer:
         if self._httpd is None:
             return self._requested_port
         return self._httpd.server_address[1]
+
+    @property
+    def open_connections(self) -> int:
+        """Client connections currently held open (0 when stopped)."""
+        if self._httpd is None:
+            return 0
+        return self._httpd.open_connections
 
     @property
     def url(self) -> str:
@@ -395,9 +488,29 @@ def _make_handler(server: ServiceServer) -> type:
     }
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
+
         # Silenced default stderr chatter; requests log at DEBUG instead.
         def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
             _log.debug("service request", extra={"line": fmt % args})
+
+        def parse_request(self) -> bool:
+            # Per-request state on a connection that carries many.
+            self._body_read = False
+            self._headers_buffer = []
+            return super().parse_request()
+
+        def _body_unread(self) -> bool:
+            """True if the request declared a body this handler never
+            consumed — keeping the connection would parse it as the
+            next request."""
+            if self._body_read:
+                return False
+            if "Transfer-Encoding" in self.headers:
+                return True
+            return (self.headers.get("Content-Length") or "0").strip() != "0"
 
         def _send(
             self,
@@ -416,21 +529,29 @@ def _make_handler(server: ServiceServer) -> type:
             if extra_headers:
                 for name, value in extra_headers.items():
                     self.send_header(name, value)
-            self.end_headers()
+            if server.service.closed or self._body_unread():
+                self.send_header("Connection", "close")
+            # end_headers() without its flush: status line, headers and
+            # body leave in one write, since a split write stalls a
+            # kept-alive connection on Nagle's algorithm against the
+            # peer's delayed ACK.
+            if self.request_version != "HTTP/0.9":
+                self._headers_buffer.append(b"\r\n")
             if getattr(self, "_chaos_torn", False):
                 # Injected torn response: the headers promised the full
                 # Content-Length, but only half the body goes out
                 # before the connection is destroyed — the client must
                 # treat this as a transport failure, never parse it.
                 self._chaos_torn = False
-                self.wfile.write(payload[: max(1, len(payload) // 2)])
+                self._headers_buffer.append(payload[: max(1, len(payload) // 2)])
                 try:
-                    self.wfile.flush()
+                    self.flush_headers()
                 except OSError:
                     pass
                 self._abort_connection()
                 return
-            self.wfile.write(payload)
+            self._headers_buffer.append(payload)
+            self.flush_headers()
 
         def _send_json(
             self,
@@ -515,13 +636,19 @@ def _make_handler(server: ServiceServer) -> type:
                 # unread bytes resets the connection, and the client
                 # could lose the response.
                 length = self._content_length()
-                if 0 < length <= MAX_BODY_BYTES:
+                if length <= MAX_BODY_BYTES:
                     self.rfile.read(length)
+                    self._body_read = True
                 self._send_json(doc, status=decision.status, request_id=rid)
                 return True
             return False
 
         def _content_length(self) -> int:
+            if "Transfer-Encoding" in self.headers:
+                raise InvalidRequestError(
+                    "Transfer-Encoding request bodies are not supported; "
+                    "send Content-Length"
+                )
             raw = self.headers.get("Content-Length") or "0"
             try:
                 length = int(raw)
@@ -542,6 +669,7 @@ def _make_handler(server: ServiceServer) -> type:
                     f"{MAX_BODY_BYTES}-byte limit"
                 )
             raw = self.rfile.read(length) if length else b""
+            self._body_read = True
             try:
                 return json.loads(raw.decode("utf-8") or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as e:

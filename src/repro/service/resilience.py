@@ -265,8 +265,10 @@ class PricingClient:
     One persistent connection per calling thread (``http.client``
     connections are not thread-safe; the client object is — stats and
     the jitter RNG are lock-guarded, connections live in
-    ``threading.local``). Pass a shared :class:`CircuitBreaker` to let
-    several clients agree on a host's health.
+    ``threading.local``). :meth:`close` closes every thread's
+    connection, so none is left pinning a server handler thread. Pass
+    a shared :class:`CircuitBreaker` to let several clients agree on a
+    host's health.
 
     ``deadline_s`` is the *total* per-call budget: connect + every
     attempt + every backoff sleep. The remaining budget is propagated
@@ -301,6 +303,8 @@ class PricingClient:
         self._rng = Random(seed)
         self._mu = threading.Lock()
         self._local = threading.local()
+        #: Every thread's open connection, so close() reaches them all.
+        self._conns: set[http.client.HTTPConnection] = set()
         self._closed = False
         # Idempotency keys: a random per-client prefix + a counter. The
         # prefix must not follow ``seed``: two same-seed clients would
@@ -388,10 +392,11 @@ class PricingClient:
         return attempt.status == 200, doc
 
     def close(self) -> None:
-        self._closed = True
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            self._local.conn = None
+        """Refuse further calls and close every thread's connection."""
+        with self._mu:
+            self._closed = True
+            conns, self._conns = self._conns, set()
+        for conn in conns:
             try:
                 conn.close()
             except OSError:
@@ -562,6 +567,10 @@ class PricingClient:
             conn = http.client.HTTPConnection(
                 self.host, self.port, timeout=timeout_s
             )
+            with self._mu:
+                if self._closed:  # close() raced this call's retry
+                    raise ClientError("client is closed")
+                self._conns.add(conn)
             self._local.conn = conn
         else:
             conn.timeout = timeout_s
@@ -573,6 +582,8 @@ class PricingClient:
         conn = getattr(self._local, "conn", None)
         self._local.conn = None
         if conn is not None:
+            with self._mu:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:

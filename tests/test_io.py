@@ -1,6 +1,7 @@
 """Round-trip tests for the JSON serialization layer."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -389,3 +390,36 @@ class TestDegradedStamp:
         back = from_wire(json.loads(json.dumps(doc)))
         assert back.degraded is True
         assert back.graph_version == 2
+
+
+class TestFloatEncoding:
+    """Payment floats on the wire: plain ``float`` or the ``"inf"`` tag."""
+
+    GOLDEN = (
+        '{"format": "price-response", "schema_version": 1, "data": '
+        '{"payment": {"source": 4, "target": 0, "path": [4, 9, 3, 7, 0], '
+        '"lcp_cost": 7.1, "payments": {"9": 2.5, "3": 0.3333333333333333, '
+        '"7": "inf", "5": "inf"}, "scheme": "vcg"}, "graph_version": 3, '
+        '"request_id": "rid-1", "coalesced": false}}'
+    )
+
+    def test_price_response_matches_golden_bytes(self):
+        from repro.io import PriceResponse, to_wire
+
+        payment = UnicastPayment(
+            source=4,
+            target=0,
+            path=(4, 9, 3, 7, 0),
+            lcp_cost=np.float64(7.1),
+            payments={
+                9: np.float64(2.5),
+                3: 1.0 / 3.0,
+                7: math.inf,  # a monopoly relay
+                5: np.float64(math.inf),
+            },
+        )
+        doc = to_wire(PriceResponse(payment, graph_version=3, request_id="rid-1"))
+        assert json.dumps(doc) == self.GOLDEN
+        data = doc["data"]["payment"]
+        for value in [data["lcp_cost"], *data["payments"].values()]:
+            assert type(value) is float or value == "inf", repr(value)

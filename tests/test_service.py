@@ -9,8 +9,11 @@ RWLock semantics, coalescing, backpressure (429), deadlines (504),
 graceful drain, and the HTTP wire surface.
 """
 
+import contextlib
+import http.client
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -29,7 +32,16 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.graph import generators as gen
-from repro.service import DegradePolicy, PricingService, ServiceServer
+from repro.obs.metrics import MetricsRegistry
+from repro.service import (
+    ChaosPlan,
+    ChaosRule,
+    DegradePolicy,
+    PricingClient,
+    PricingService,
+    ServiceServer,
+)
+from repro.service import http as service_http
 
 
 def wait_until(predicate, timeout=5.0, interval=0.005):
@@ -584,10 +596,13 @@ class TestDrain:
 
 @pytest.fixture
 def http_server():
+    """A live server; its own enabled registry counts connections."""
     g = gen.random_biconnected_graph(28, seed=21)
     eng = PricingEngine(g, on_monopoly="inf")
     svc = PricingService(eng, workers=2, max_queue=16, deadline_s=10.0)
-    server = ServiceServer(svc, port=0).start()
+    server = ServiceServer(
+        svc, port=0, registry=MetricsRegistry(enabled=True)
+    ).start()
     yield server
     server.stop()
     if not svc.closed:
@@ -779,6 +794,245 @@ class TestHTTP:
             assert err.code == 404
             doc = json.load(err)
             assert "endpoints" in doc
+
+
+def _connections(server):
+    return server.registry.snapshot().counters.get("service.http.connections", 0)
+
+
+def _connect(server):
+    return contextlib.closing(
+        http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+    )
+
+
+def _read_response(sock):
+    """Parse exactly one HTTP response off ``sock``: (resp, body)."""
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp, resp.read()
+
+
+def _closed_by_peer(sock):
+    """True once the server has closed ``sock`` (EOF or reset)."""
+    try:
+        return sock.recv(4096) == b""
+    except ConnectionResetError:
+        return True
+
+
+def _price_body(s=5, t=0):
+    return json.dumps(repro_io.to_wire(repro_io.PriceRequest(s, t))).encode()
+
+
+class TestKeepAlive:
+    """HTTP/1.1 persistent connections and the hygiene that keeps
+    leftover request bytes from ever being parsed as a new request."""
+
+    def test_sequential_prices_share_one_connection(self, http_server):
+        client = PricingClient(http_server.url, metrics=MetricsRegistry())
+        try:
+            client.price(5, 0)  # warm the pair outside the clock
+            t0 = time.monotonic()
+            for _ in range(49):
+                client.price(5, 0)
+            elapsed = time.monotonic() - t0
+        finally:
+            client.close()
+        assert _connections(http_server) == 1
+        # A split header/body write would stall ~40 ms a call on Nagle
+        # against delayed ACK (>= 2 s in all).
+        assert elapsed < 1.0
+        assert client.stats.transport_failures == 0
+
+    def test_unread_body_closes_connection_after_404(self, http_server):
+        with socket.create_connection(
+            ("127.0.0.1", http_server.port), timeout=5.0
+        ) as sock:
+            # The unknown route never reads "hello"; a pipelined request
+            # follows it on the same connection.
+            sock.sendall(
+                b"POST /v1/nope HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 5\r\n\r\nhello"
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            resp, body = _read_response(sock)
+            assert resp.status == 404
+            assert resp.getheader("Connection") == "close"
+            assert "endpoints" in json.loads(body)
+            assert _closed_by_peer(sock)  # no answer to leftovers
+        with _connect(http_server) as conn:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "head, body",
+        [
+            (b"Transfer-Encoding: chunked\r\n", b"5\r\nhello\r\n0\r\n\r\n"),
+            (
+                f"Content-Length: {service_http.MAX_BODY_BYTES + 1}\r\n".encode(),
+                b"{}",
+            ),
+        ],
+        ids=["chunked", "oversized"],
+    )
+    def test_unreadable_body_gets_typed_400_and_close(
+        self, http_server, head, body
+    ):
+        with socket.create_connection(
+            ("127.0.0.1", http_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/price HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Type: application/json\r\n" + head + b"\r\n" + body
+            )
+            resp, raw = _read_response(sock)
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            err = repro_io.from_wire(json.loads(raw))
+            assert isinstance(err, repro_io.ErrorResponse)
+            assert err.code == "request.invalid"
+            assert _closed_by_peer(sock)
+
+    def test_chaos_error_closes_only_when_body_is_left_unread(self):
+        plan = ChaosPlan(
+            {"/v1/price": ChaosRule(error_p=1.0, error_status=502)},
+            metrics=MetricsRegistry(),
+        )
+        g = gen.random_biconnected_graph(12, seed=3)
+        svc = PricingService(PricingEngine(g, on_monopoly="inf"), workers=1)
+        server = ServiceServer(svc, port=0, chaos=plan).start()
+        post = b"POST /v1/price HTTP/1.1\r\nHost: t\r\nContent-Length: "
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                # A drained body keeps the connection for the next call.
+                sock.sendall(post + b"2\r\n\r\n{}")
+                resp, _ = _read_response(sock)
+                assert resp.status == 502 and not resp.will_close
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                resp, _ = _read_response(sock)
+                assert resp.status == 200
+                # Past MAX_BODY_BYTES the body is never read: close.
+                limit = service_http.MAX_BODY_BYTES + 1
+                sock.sendall(post + f"{limit}\r\n\r\n{{}}".encode())
+                resp, _ = _read_response(sock)
+                assert resp.status == 502
+                assert resp.getheader("Connection") == "close"
+                assert _closed_by_peer(sock)
+        finally:
+            server.stop()
+            svc.close()
+
+    def test_consumed_body_keeps_connection_open(self, http_server):
+        with _connect(http_server) as conn:
+            statuses = []
+            for body in (b"{not json", _price_body(), _price_body(999, 0)):
+                conn.request("POST", "/v1/price", body=body)
+                resp = conn.getresponse()
+                resp.read()
+                statuses.append(resp.status)
+                assert resp.getheader("Connection") is None
+            assert statuses == [400, 200, 404]
+        assert _connections(http_server) == 1
+
+    def test_draining_server_sends_connection_close(self, http_server):
+        with _connect(http_server) as conn:
+            conn.request("POST", "/v1/price", body=_price_body())
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200 and not resp.will_close
+            http_server.service.close()
+            conn.request("POST", "/v1/price", body=_price_body())
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 503
+            assert resp.getheader("Connection") == "close"
+            assert resp.will_close
+
+    def test_stop_ends_idle_kept_alive_connection(self, http_server):
+        client = PricingClient(http_server.url, metrics=MetricsRegistry())
+        try:
+            client.price(5, 0)
+            assert http_server.open_connections == 1
+            handlers = [
+                t for t in threading.enumerate()
+                if t.name == "repro-service-conn"
+            ]
+            assert len(handlers) == 1
+            t0 = time.monotonic()
+            http_server.stop()
+            assert time.monotonic() - t0 < 2.0
+            assert not handlers[0].is_alive()
+            assert http_server.open_connections == 0
+        finally:
+            client.close()
+
+    def test_peer_reset_of_idle_connection_is_quiet(self, http_server, capsys):
+        with socket.create_connection(
+            ("127.0.0.1", http_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            resp, _ = _read_response(sock)
+            assert resp.status == 200
+            wait_until(lambda: http_server.open_connections == 1)
+            # SO_LINGER 0: close() sends RST, not FIN.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        wait_until(lambda: http_server.open_connections == 0)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_idle_connection_times_out(self, monkeypatch):
+        monkeypatch.setattr(service_http, "IDLE_TIMEOUT_S", 0.2)
+        g = gen.random_biconnected_graph(12, seed=3)
+        svc = PricingService(PricingEngine(g, on_monopoly="inf"), workers=1)
+        server = ServiceServer(svc, port=0).start()
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                resp, _ = _read_response(sock)
+                assert resp.status == 200 and not resp.will_close
+                t0 = time.monotonic()
+                assert _closed_by_peer(sock)
+                assert time.monotonic() - t0 < 3.0
+            wait_until(lambda: server.open_connections == 0)
+        finally:
+            server.stop()
+            svc.close()
+
+    def test_client_close_reaches_every_thread_connection(self, http_server):
+        client = PricingClient(http_server.url, metrics=MetricsRegistry())
+        priced = threading.Barrier(3, timeout=10.0)
+        release = threading.Event()
+
+        def worker(s):
+            client.price(s, 0)
+            priced.wait()
+            # Stay alive: a finished thread's connection would be
+            # garbage-collected (and closed) with its thread-local.
+            release.wait(10.0)
+
+        workers = [threading.Thread(target=worker, args=(s,)) for s in (3, 7)]
+        for t in workers:
+            t.start()
+        try:
+            priced.wait()
+            assert _connections(http_server) == 2
+            assert http_server.open_connections == 2
+            closer = threading.Thread(target=client.close)
+            closer.start()
+            closer.join(timeout=10.0)
+            wait_until(lambda: http_server.open_connections == 0)
+        finally:
+            release.set()
+            for t in workers:
+                t.join(timeout=10.0)
 
 
 class TestRetryAfter:
