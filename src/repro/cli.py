@@ -793,10 +793,10 @@ def _cmd_engine(args) -> int:
     server = None
     metrics_were_enabled = REGISTRY.enabled
     if args.serve is not None:
-        from repro.obs.server import TelemetryServer
+        from repro.service import HttpServer
 
         REGISTRY.enable()  # a scrape with nothing collected is useless
-        server = TelemetryServer(
+        server = HttpServer(
             port=args.serve,
             health=lambda: {
                 "engine_version": engine.version,

@@ -11,9 +11,11 @@ The observability layer the rest of the library records into:
 * :mod:`repro.obs.context` — request-scoped correlation ids threaded
   automatically into spans, log lines, and flight events;
 * :mod:`repro.obs.flight` — always-on fixed-size ring of recent engine
-  events, dumped to JSON on unexpected engine errors;
-* :mod:`repro.obs.server` — stdlib HTTP telemetry server exposing
-  ``/metrics``, ``/healthz``, ``/snapshot`` and ``/flight`` live.
+  events, dumped to JSON on unexpected engine errors.
+
+The HTTP routes that expose these live (``/metrics``, ``/healthz``,
+``/snapshot``, ``/flight``) belong to the one server in
+:mod:`repro.service.http`.
 
 Everything except the flight recorder is off until opted into (CLI
 ``--metrics`` / ``--trace-out`` / ``--log-level`` / ``--serve``, the
@@ -43,7 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "Tracer",
-    "TelemetryServer",
     "configure",
     "get_logger",
     "current_request_id",
@@ -54,16 +55,6 @@ __all__ = [
     "enable",
     "disable",
 ]
-
-
-def __getattr__(name: str):
-    # TelemetryServer lazily, so importing repro.obs never drags in the
-    # http.server machinery on hot paths that only need the registry.
-    if name == "TelemetryServer":
-        from repro.obs.server import TelemetryServer
-
-        return TelemetryServer
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
 
 
 def enable(metrics: bool = True, tracing: bool = False) -> None:

@@ -13,10 +13,12 @@ package is the serving layer in front of the snapshot-isolated
   the engine.
 * :class:`ServiceServer` (:mod:`repro.service.http`) — the stdlib
   HTTP JSON API: ``POST /v1/price`` / ``/v1/price_many`` /
-  ``/v1/update``, ``GET /v1/graph``, plus the telemetry family
-  (``/metrics``, ``/healthz``, ...) on the same port. Messages are the
-  versioned wire envelopes of :mod:`repro.io`; failures map to HTTP
-  statuses through the one shared table in :mod:`repro.errors`.
+  ``/v1/update``, ``GET /v1/graph`` and ``/readyz``, mounted on the
+  route table of :class:`HttpServer`, the library's one HTTP server,
+  which serves the telemetry family (``/metrics``, ``/healthz``, ...)
+  on the same port. Messages are the versioned wire envelopes of
+  :mod:`repro.io`; failures map to HTTP statuses through the one
+  shared table in :mod:`repro.errors`.
 
 The availability layer on top (this PR's *resilience* family):
 
@@ -40,7 +42,7 @@ semantics, failure handling — is documented in ``docs/service.md``.
 """
 
 from repro.service.chaos import ChaosPlan, ChaosRule
-from repro.service.http import ServiceServer
+from repro.service.http import HttpServer, ServiceServer
 from repro.service.resilience import (
     BackoffPolicy,
     CircuitBreaker,
@@ -58,6 +60,7 @@ from repro.service.supervisor import Supervisor, SupervisorEvent
 
 __all__ = [
     "PricingService",
+    "HttpServer",
     "ServiceServer",
     "ServiceStats",
     "PricedAnswer",

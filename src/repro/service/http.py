@@ -1,7 +1,28 @@
-"""The HTTP JSON API over :class:`~repro.service.PricingService`.
+"""The library's one HTTP server: telemetry routes plus the ``/v1`` pricing API.
 
-:class:`ServiceServer` extends the telemetry-server scaffolding
-(:mod:`repro.obs.server`) from inspection-only into a pricing API:
+:class:`HttpServer` is a stdlib server on a daemon thread that
+dispatches every request through one route table keyed by
+``(method, path)``. It always serves the telemetry routes:
+
+``GET /metrics``
+    The metrics registry in Prometheus text exposition format
+    (:func:`repro.obs.export.to_prometheus_text`): counters, gauges,
+    timer summaries and duration-histogram buckets.
+``GET /healthz``
+    Liveness JSON: status, uptime, collector states and flight-event
+    count, plus whatever the ``health`` hook contributes.
+``GET /snapshot``
+    The full :class:`~repro.obs.metrics.MetricsSnapshot` as JSON
+    (:func:`repro.obs.export.snapshot_to_json`, round-trippable).
+``GET /flight``
+    The flight recorder's ring as JSON, oldest event first.
+``GET /``
+    The route table: ``"METHOD /path"`` -> one-line description.
+
+``engine --serve`` runs :class:`HttpServer` with just those routes and
+an engine ``health`` hook. :class:`ServiceServer` fronts a
+:class:`~repro.service.PricingService` and mounts the pricing API on
+the same table, so one port serves both planes:
 
 ``POST /v1/price``
     Body: a ``price-request`` wire envelope (:mod:`repro.io`).
@@ -16,16 +37,14 @@
 ``GET /v1/graph``
     The current snapshot as a ``graph-response`` envelope (the nested
     graph payload round-trips through :func:`repro.io.from_wire`).
-``GET /metrics``, ``/healthz``, ``/snapshot``, ``/flight``
-    The telemetry family, unchanged — one port serves both planes.
-    ``/healthz`` additionally reports the engine version/model and the
-    service's queue depth and drain state.
 ``GET /readyz``
     Readiness, split from liveness: 503 with the blocking reasons
     (``draining``, ``recovering``, ...) while the server should not
     receive traffic, 200 otherwise. Load balancers and the CI smoke
     gate on this; ``/healthz`` stays 200 through a drain so
     supervisors don't kill a process that is shutting down cleanly.
+    The service's ``/healthz`` adds the engine version/model and the
+    queue depth and drain state through the ``health`` hook.
 
 Failure-handling headers (see ``docs/service.md``):
 
@@ -45,19 +64,24 @@ resilience testing; with no plan attached the request path — and every
 wire byte — is identical to a chaos-free build.
 
 Every request runs inside :func:`repro.obs.context.request_scope`: the
-minted id is returned both as the ``X-Request-Id`` response header and
-inside the response envelope, and it joins the PR-5 tracing
+minted id is returned as the ``X-Request-Id`` header on every response
+(and inside the ``/v1`` response envelopes), and it joins the tracing
 contextvars so spans and flight-recorder events correlate with the
 wire. Failures become ``error-response`` envelopes; the status comes
 from the one shared table in :mod:`repro.errors` (429 queue-full,
 504 deadline, 404 unknown node, 422 disconnected/monopoly, 400
-malformed envelope, 503 draining).
+malformed envelope, 503 draining). Requests the stdlib rejects before
+routing (an unsupported method, a malformed request line, oversized
+headers) get an ``error-response`` with code ``request.invalid`` and
+the stdlib's status, and close the connection.
 
-The server itself stays deliberately stdlib:
+The server stays deliberately stdlib:
 :class:`~http.server.ThreadingHTTPServer` gives one thread per
 connection, and the admission queue inside
 :class:`~repro.service.PricingService` — not the socket listener — is
-the concurrency limiter that matters.
+the concurrency limiter that matters. It binds ``127.0.0.1`` by
+default; ``port=0`` picks an ephemeral port (read it back from
+:attr:`HttpServer.port`).
 
 Connections are HTTP/1.1 and persistent: one client connection carries
 all of its requests, so a warm price pays no TCP connect, accept or
@@ -65,13 +89,14 @@ thread spawn. Each response leaves in a single write (status line,
 headers and body together), because a split write on a kept-alive
 connection stalls on Nagle's algorithm against the peer's delayed ACK.
 A response closes its connection (``Connection: close``) when it is
-sent without reading the whole request body — an unknown POST route, a
-bad or oversized ``Content-Length``, a ``Transfer-Encoding`` body — so
+sent without reading the whole request body — an unknown route, a bad
+or oversized ``Content-Length``, a ``Transfer-Encoding`` body — so
 leftover bytes are never parsed as the next request, and once the
 service is draining. Idle connections time out after
-:data:`IDLE_TIMEOUT_S`, and :meth:`ServiceServer.stop` shuts down every
+:data:`IDLE_TIMEOUT_S`, and :meth:`HttpServer.stop` shuts down every
 live connection. HTTP/1.0 requests still close after one response.
-Accepted connections are counted as ``service.http.connections``.
+Accepted connections are counted as ``service.http.connections`` and
+each route's handling time as the timer ``service.http.<route>_time``.
 """
 
 from __future__ import annotations
@@ -86,6 +111,7 @@ import threading
 import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, Mapping, NamedTuple
 
 from repro import io as repro_io
 from repro.errors import (
@@ -96,7 +122,7 @@ from repro.errors import (
     retry_after_s,
 )
 from repro.obs import logging as obs_logging
-from repro.obs.context import current_request_id, request_scope
+from repro.obs.context import current_request_id, mint_request_id, request_scope
 from repro.obs.export import snapshot_to_json, to_prometheus_text
 from repro.obs.flight import FLIGHT, FlightRecorder
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -104,22 +130,12 @@ from repro.obs.tracing import TRACER
 from repro.service.chaos import ChaosPlan
 from repro.service.service import PricingService
 
-__all__ = ["ServiceServer", "ENDPOINTS", "IDLE_TIMEOUT_S"]
+__all__ = ["HttpServer", "ServiceServer", "Reply", "json_reply", "IDLE_TIMEOUT_S"]
 
 _log = obs_logging.get_logger("service.http")
 
-#: The routes ``/`` advertises (path -> one-line description).
-ENDPOINTS = {
-    "POST /v1/price": "price one (source, target) request",
-    "POST /v1/price_many": "price a batch of ordered pairs",
-    "POST /v1/update": "apply a cost/topology mutation",
-    "GET /v1/graph": "current graph snapshot + version",
-    "GET /metrics": "Prometheus text exposition of the metrics registry",
-    "GET /healthz": "liveness + engine/service status JSON",
-    "GET /readyz": "readiness (503 + reasons while draining/recovering)",
-    "GET /snapshot": "full metrics snapshot as JSON",
-    "GET /flight": "flight-recorder ring (recent engine events) as JSON",
-}
+JSON = "application/json; charset=utf-8"
+PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Reject request bodies past this size before parsing (a pricing
 #: request is tiny; a batch of every pair in a 10k-node graph still
@@ -130,18 +146,43 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: before its handler thread closes it.
 IDLE_TIMEOUT_S = 60.0
 
+#: Entries kept in the ``Idempotency-Key`` replay cache of
+#: ``POST /v1/update`` (least recently used beyond that).
+IDEMPOTENCY_CAP = 1024
+
+
+class Reply(NamedTuple):
+    """One response, as a route returns it."""
+
+    body: str
+    content_type: str = JSON
+    status: int = 200
+    headers: Mapping[str, str] | None = None
+
+
+def json_reply(
+    doc, status: int = 200, headers: Mapping[str, str] | None = None
+) -> Reply:
+    return Reply(json.dumps(doc, indent=2) + "\n", JSON, status, headers)
+
+
+class _Route(NamedTuple):
+    fn: Callable[["_Handler"], Reply]
+    description: str
+    timer: str
+
 
 class _Listener(ThreadingHTTPServer):
     """The stdlib threading server, plus a registry of live connections.
 
     ``ThreadingHTTPServer`` neither tracks nor joins its daemon handler
     threads, so a kept-alive connection would outlive
-    :meth:`ServiceServer.stop`; :meth:`close_connections` ends them.
+    :meth:`HttpServer.stop`; :meth:`close_connections` ends them.
     """
 
-    def __init__(self, address, handler, registry: MetricsRegistry) -> None:
-        super().__init__(address, handler)
-        self._registry = registry
+    def __init__(self, address, app: "HttpServer") -> None:
+        self.app = app
+        super().__init__(address, _Handler)
         self._live: dict[socket.socket, threading.Thread] = {}
         self._live_mu = threading.Lock()
 
@@ -154,7 +195,7 @@ class _Listener(ThreadingHTTPServer):
         )
         with self._live_mu:
             self._live[request] = thread
-        self._registry.add("service.http.connections")
+        self.app.registry.add("service.http.connections")
         thread.start()
 
     def shutdown_request(self, request) -> None:
@@ -194,76 +235,121 @@ class _Listener(ThreadingHTTPServer):
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
-class ServiceServer:
-    """Background HTTP server speaking the ``/v1`` pricing API.
+class HttpServer:
+    """Background HTTP server: one route table, telemetry routes mounted.
 
     Parameters
     ----------
-    service:
-        The :class:`~repro.service.PricingService` to front. The server
-        never closes it — lifecycle stays with the caller (the CLI
-        stops the listener first, then drains the service).
     port, host:
         Bind address; ``port=0`` picks an ephemeral port (tests).
     registry, recorder:
-        Telemetry collectors for the ``/metrics`` family (default: the
-        process-wide ones).
+        The collectors the telemetry routes expose (default: the
+        process-wide :data:`~repro.obs.metrics.REGISTRY` and
+        :data:`~repro.obs.flight.FLIGHT`).
+    health:
+        Optional zero-argument callable returning extra JSON-ready
+        fields merged into the ``/healthz`` document on every request.
     chaos:
         An optional seeded :class:`~repro.service.chaos.ChaosPlan`.
         ``None`` (default) leaves the request path untouched.
-    idempotency_cap:
-        Entries kept in the ``Idempotency-Key`` replay cache for
-        ``POST /v1/update`` (LRU beyond that).
     """
 
     def __init__(
         self,
-        service: PricingService,
         port: int = 0,
         host: str = "127.0.0.1",
         registry: MetricsRegistry | None = None,
         recorder: FlightRecorder | None = None,
-        prefix: str = "repro",
+        health: Callable[[], Mapping] | None = None,
         chaos: ChaosPlan | None = None,
-        idempotency_cap: int = 1024,
     ) -> None:
-        self.service = service
         self._host = host
         self._requested_port = int(port)
         self.registry = registry if registry is not None else REGISTRY
         self.recorder = recorder if recorder is not None else FLIGHT
-        self.prefix = prefix
+        self.health = health
         self.chaos = chaos
-        #: Optional hook returning extra not-ready reasons (strings) —
-        #: lets an embedding process (supervisor, shared breaker, ...)
-        #: take itself out of rotation via ``/readyz``.
-        self.ready_hook = None
-        self._idem_cap = int(idempotency_cap)
-        self._idem: OrderedDict[str, dict] = OrderedDict()
-        self._idem_mu = threading.Lock()
+        #: ``(method, path)`` -> route; :meth:`mount` adds to it.
+        self.routes: dict[tuple[str, str], _Route] = {}
         self._httpd: _Listener | None = None
         self._thread: threading.Thread | None = None
         self._started_at = 0.0
+        self.mount(
+            "GET",
+            "/metrics",
+            lambda _req: Reply(
+                to_prometheus_text(self.registry.snapshot()), PROMETHEUS
+            ),
+            "Prometheus text exposition of the metrics registry",
+        )
+        self.mount(
+            "GET",
+            "/healthz",
+            lambda _req: json_reply(self.healthz()),
+            "liveness + uptime JSON",
+        )
+        self.mount(
+            "GET",
+            "/snapshot",
+            lambda _req: Reply(
+                snapshot_to_json(self.registry.snapshot(), indent=2) + "\n"
+            ),
+            "full metrics snapshot as JSON",
+        )
+        self.mount(
+            "GET",
+            "/flight",
+            lambda _req: json_reply(self.recorder.snapshot()),
+            "flight-recorder ring (recent engine events) as JSON",
+        )
+        self.mount(
+            "GET",
+            "/",
+            lambda _req: json_reply({"endpoints": self.endpoints()}),
+            "this route table",
+        )
+
+    def mount(
+        self,
+        method: str,
+        path: str,
+        fn: Callable[["_Handler"], Reply],
+        description: str,
+    ) -> None:
+        """Route ``method path`` to ``fn(request) -> Reply``."""
+        name = path.replace("/", ".") if path != "/" else ".index"
+        self.routes[(method, path)] = _Route(
+            fn, description, f"service.http{name}_time"
+        )
+
+    def endpoints(self) -> dict[str, str]:
+        """The route table as ``"METHOD /path"`` -> description."""
+        return {
+            f"{method} {path}": route.description
+            for (method, path), route in self.routes.items()
+        }
+
+    @property
+    def draining(self) -> bool:
+        """True while every response should close its connection."""
+        return False
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> "ServiceServer":
+    def start(self) -> "HttpServer":
         """Bind and serve on a daemon thread; returns ``self``."""
         if self._httpd is not None:
-            raise RuntimeError("ServiceServer is already running")
-        handler = _make_handler(self)
-        self._httpd = _Listener(
-            (self._host, self._requested_port), handler, self.registry
-        )
+            raise RuntimeError(f"{type(self).__name__} is already running")
+        self._httpd = _Listener((self._host, self._requested_port), self)
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
-            name="repro-service-http",
+            name="repro-http",
             daemon=True,
         )
         self._thread.start()
         _log.info(
-            "service server started",
+            "http server started",
             extra={"host": self._host, "port": self.port},
         )
         return self
@@ -273,10 +359,7 @@ class ServiceServer:
         listener (idempotent).
 
         Kept-alive connections are shut down too, so no client keeps
-        being served after this returns. Does *not* drain the service —
-        call :meth:`PricingService.close` after this for the full
-        graceful shutdown (listener first, so no new requests race the
-        drain).
+        being served after this returns.
         """
         if self._httpd is None:
             return
@@ -288,7 +371,7 @@ class ServiceServer:
         self._httpd = None
         self._thread = None
 
-    def __enter__(self) -> "ServiceServer":
+    def __enter__(self) -> "HttpServer":
         if self._httpd is None:
             self.start()
         return self
@@ -326,13 +409,96 @@ class ServiceServer:
             return 0.0
         return time.monotonic() - self._started_at
 
+    def healthz(self) -> dict:
+        """The ``/healthz`` document (also callable directly)."""
+        doc = {
+            "status": "ok",
+            "uptime_s": round(self.uptime(), 3),
+            "metrics_enabled": self.registry.enabled,
+            "tracing_enabled": TRACER.enabled,
+            "flight_events": len(self.recorder),
+        }
+        if self.health is not None:
+            doc.update(self.health())
+        return doc
+
+
+class ServiceServer(HttpServer):
+    """:class:`HttpServer` with the ``/v1`` pricing API mounted.
+
+    Parameters
+    ----------
+    service:
+        The :class:`~repro.service.PricingService` to front. The server
+        never closes it — lifecycle stays with the caller (the CLI
+        stops the listener first, then drains the service).
+    port, host, registry, recorder, chaos:
+        As for :class:`HttpServer`. :meth:`stop` does *not* drain the
+        service — call :meth:`PricingService.close` after it for the
+        full graceful shutdown (listener first, so no new requests race
+        the drain).
+    """
+
+    def __init__(
+        self,
+        service: PricingService,
+        port: int = 0,
+        host: str = "127.0.0.1",
+        registry: MetricsRegistry | None = None,
+        recorder: FlightRecorder | None = None,
+        chaos: ChaosPlan | None = None,
+    ) -> None:
+        super().__init__(
+            port, host, registry, recorder, health=self._health, chaos=chaos
+        )
+        self.service = service
+        #: Optional hook returning extra not-ready reasons (strings) —
+        #: lets an embedding process (supervisor, shared breaker, ...)
+        #: take itself out of rotation via ``/readyz``.
+        self.ready_hook = None
+        self._idem: OrderedDict[str, dict] = OrderedDict()
+        self._idem_mu = threading.Lock()
+        self.mount(
+            "POST",
+            "/v1/price",
+            self._post_price,
+            "price one (source, target) request",
+        )
+        self.mount(
+            "POST",
+            "/v1/price_many",
+            self._post_price_many,
+            "price a batch of ordered pairs",
+        )
+        self.mount(
+            "POST",
+            "/v1/update",
+            self._post_update,
+            "apply a cost/topology mutation",
+        )
+        self.mount(
+            "GET",
+            "/v1/graph",
+            lambda _req: json_reply(self.handle_graph()),
+            "current graph snapshot + version",
+        )
+        self.mount(
+            "GET",
+            "/readyz",
+            self._get_readyz,
+            "readiness (503 + reasons while draining/recovering)",
+        )
+
+    @property
+    def draining(self) -> bool:
+        return self.service.closed
+
     # -- endpoint payloads (also callable directly, e.g. from tests) --------
 
-    def healthz(self) -> dict:
+    def _health(self) -> dict:
         eng = self.service.engine
         return {
             "status": "draining" if self.service.closed else "ok",
-            "uptime_s": round(self.uptime(), 3),
             "engine_version": eng.version,
             "model": eng.model,
             "nodes": eng.n,
@@ -341,8 +507,6 @@ class ServiceServer:
             "queue_depth": self.service.queue_depth,
             "max_queue": self.service.max_queue,
             "service": self.service.stats.as_dict(),
-            "metrics_enabled": self.registry.enabled,
-            "tracing_enabled": TRACER.enabled,
         }
 
     def readyz(self) -> dict:
@@ -384,10 +548,43 @@ class ServiceServer:
         with self._idem_mu:
             self._idem[key] = doc
             self._idem.move_to_end(key)
-            while len(self._idem) > self._idem_cap:
+            while len(self._idem) > IDEMPOTENCY_CAP:
                 self._idem.popitem(last=False)
 
-    # -- API handlers (one per POST/GET route; return a wire envelope) ------
+    # -- routes -------------------------------------------------------------
+
+    def _get_readyz(self, _req) -> Reply:
+        doc = self.readyz()
+        return json_reply(doc, status=200 if doc["ready"] else 503)
+
+    def _post_price(self, req: "_Handler") -> Reply:
+        payload, deadline_s = req.envelope(repro_io.PriceRequest)
+        return json_reply(self.handle_price(payload, deadline_s=deadline_s))
+
+    def _post_price_many(self, req: "_Handler") -> Reply:
+        payload, deadline_s = req.envelope(repro_io.PriceManyRequest)
+        return json_reply(
+            self.handle_price_many(payload, deadline_s=deadline_s)
+        )
+
+    def _post_update(self, req: "_Handler") -> Reply:
+        payload, _ = req.envelope(repro_io.UpdateRequest)
+        # Body fully read and valid: a retried update with a known key
+        # replays the cached first response instead of re-applying.
+        key = req.headers.get("Idempotency-Key")
+        if key:
+            cached = self._idem_get(key)
+            if cached is not None:
+                self.registry.add("service.idempotent_replays")
+                return json_reply(
+                    cached, headers={"Idempotency-Replay": "true"}
+                )
+        doc = self.handle_update(payload)
+        if key:
+            self._idem_put(key, doc)
+        return json_reply(doc)
+
+    # -- API handlers (one per /v1 route; return a wire envelope) -----------
 
     def handle_price(
         self, req: repro_io.PriceRequest, deadline_s: float | None = None
@@ -473,346 +670,259 @@ def _effective_deadline(
     return min(envelope_s, header_s)
 
 
-def _make_handler(server: ServiceServer) -> type:
-    """A request-handler class closed over one :class:`ServiceServer`."""
+def _error_doc(code: str, message: str, rid: str, status: int) -> dict:
+    return repro_io.to_wire(
+        repro_io.ErrorResponse(
+            code=code, message=message, request_id=rid, status=status
+        )
+    )
 
-    # path -> (handler, envelope class, handler takes deadline_s=).
-    posts = {
-        "/v1/price": (server.handle_price, repro_io.PriceRequest, True),
-        "/v1/price_many": (
-            server.handle_price_many,
-            repro_io.PriceManyRequest,
-            True,
-        ),
-        "/v1/update": (server.handle_update, repro_io.UpdateRequest, False),
-    }
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
-        timeout = IDLE_TIMEOUT_S
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: parses requests and dispatches them through the
+    route table of the :class:`HttpServer` that owns the listener."""
 
-        # Silenced default stderr chatter; requests log at DEBUG instead.
-        def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
-            _log.debug("service request", extra={"line": fmt % args})
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    _chaos_torn = False
 
-        def parse_request(self) -> bool:
-            # Per-request state on a connection that carries many.
-            self._body_read = False
-            self._headers_buffer = []
-            return super().parse_request()
+    def setup(self) -> None:
+        # Read per connection, so the module constant stays tunable.
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
 
-        def _body_unread(self) -> bool:
-            """True if the request declared a body this handler never
-            consumed — keeping the connection would parse it as the
-            next request."""
-            if self._body_read:
-                return False
-            if "Transfer-Encoding" in self.headers:
-                return True
-            return (self.headers.get("Content-Length") or "0").strip() != "0"
+    # Silenced default stderr chatter; requests log at DEBUG instead.
+    def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
+        _log.debug("http request", extra={"line": fmt % args})
 
-        def _send(
-            self,
-            body: str,
-            content_type: str,
-            status: int = 200,
-            request_id: str | None = None,
-            extra_headers: dict[str, str] | None = None,
-        ) -> None:
-            payload = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            if request_id:
-                self.send_header("X-Request-Id", request_id)
-            if extra_headers:
-                for name, value in extra_headers.items():
-                    self.send_header(name, value)
-            if server.service.closed or self._body_unread():
-                self.send_header("Connection", "close")
-            # end_headers() without its flush: status line, headers and
-            # body leave in one write, since a split write stalls a
-            # kept-alive connection on Nagle's algorithm against the
-            # peer's delayed ACK.
-            if self.request_version != "HTTP/0.9":
-                self._headers_buffer.append(b"\r\n")
-            if getattr(self, "_chaos_torn", False):
-                # Injected torn response: the headers promised the full
-                # Content-Length, but only half the body goes out
-                # before the connection is destroyed — the client must
-                # treat this as a transport failure, never parse it.
-                self._chaos_torn = False
-                self._headers_buffer.append(payload[: max(1, len(payload) // 2)])
+    def parse_request(self) -> bool:
+        # Per-request state on a connection that carries many.
+        self._body_read = False
+        self._headers_buffer = []
+        return super().parse_request()
+
+    # -- dispatch -----------------------------------------------------------
+
+    def _dispatch(self) -> None:
+        app = self.server.app
+        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        self.route_path = path
+        route = app.routes.get((self.command, path))
+        t0 = time.perf_counter()
+        with request_scope(fresh=True) as rid:
+            try:
+                if route is None:
+                    reply = json_reply(
+                        {
+                            "error": f"no route {self.command} {path}",
+                            "endpoints": sorted(app.endpoints()),
+                        },
+                        status=404,
+                    )
+                elif self._apply_chaos(path, rid):
+                    return
+                else:
+                    reply = route.fn(self)
+                self._send(reply, rid)
+            except BrokenPipeError:  # client went away mid-response
+                pass
+            except Exception as exc:
                 try:
-                    self.flush_headers()
+                    self._send_error(exc, rid)
                 except OSError:
                     pass
-                self._abort_connection()
-                return
-            self._headers_buffer.append(payload)
-            self.flush_headers()
+            finally:
+                if app.registry.enabled:
+                    app.registry.observe(
+                        route.timer
+                        if route is not None
+                        else "service.http.unknown_time",
+                        time.perf_counter() - t0,
+                    )
 
-        def _send_json(
-            self,
-            doc,
-            status: int = 200,
-            request_id: str | None = None,
-            extra_headers: dict[str, str] | None = None,
-        ) -> None:
-            self._send(
-                json.dumps(doc, indent=2) + "\n",
-                "application/json; charset=utf-8",
-                status,
-                request_id=request_id,
-                extra_headers=extra_headers,
+    do_GET = do_POST = _dispatch
+
+    # -- request side -------------------------------------------------------
+
+    def _body_unread(self) -> bool:
+        """True if the request declared a body this handler never
+        consumed — keeping the connection would parse it as the next
+        request."""
+        if self._body_read:
+            return False
+        if "Transfer-Encoding" in self.headers:
+            return True
+        return (self.headers.get("Content-Length") or "0").strip() != "0"
+
+    def _content_length(self) -> int:
+        if "Transfer-Encoding" in self.headers:
+            raise InvalidRequestError(
+                "Transfer-Encoding request bodies are not supported; "
+                "send Content-Length"
             )
-
-        def _send_error(self, exc: BaseException, rid: str) -> None:
-            status = http_status(exc)
-            doc = repro_io.to_wire(
-                repro_io.ErrorResponse(
-                    code=error_code(exc),
-                    message=str(exc),
-                    request_id=rid,
-                    status=status,
-                )
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise InvalidRequestError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
             )
-            extra: dict[str, str] | None = None
-            if status in (429, 503):
-                hint = retry_after_s(exc)
-                if hint is not None:
-                    # Decimal seconds: finer-grained than the RFC's
-                    # integer (integral hints round-trip unchanged).
-                    extra = {"Retry-After": f"{hint:g}"}
-            self._send_json(doc, status=status, request_id=rid, extra_headers=extra)
+        return length
 
-        def _abort_connection(self) -> None:
-            """Destroy the connection with an RST (chaos reset/torn).
+    def _read_body(self):
+        length = self._content_length()
+        if length > MAX_BODY_BYTES:
+            raise InvalidRequestError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        raw = self.rfile.read(length) if length else b""
+        self._body_read = True
+        try:
+            return json.loads(raw.decode("utf-8") or "null")
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise SerializationError(f"request body is not JSON: {e}")
 
-            ``SO_LINGER`` with a zero timeout turns ``close()`` into an
-            abortive close, so the peer sees ``ECONNRESET`` rather than
-            a clean EOF. The buffered writer is detached first so the
-            handler's ``finish()`` doesn't trip over the dead socket.
-            """
-            self.close_connection = True
+    def _header_deadline(self) -> float | None:
+        raw = self.headers.get("X-Deadline-S")
+        if raw is None:
+            return None
+        try:
+            budget = float(raw)
+        except ValueError:
+            raise InvalidRequestError(
+                f"X-Deadline-S must be a number, got {raw!r}"
+            ) from None
+        if not (math.isfinite(budget) and budget > 0):
+            raise InvalidRequestError(
+                f"X-Deadline-S must be a finite positive number, got {raw!r}"
+            )
+        return budget
+
+    def envelope(self, cls: type):
+        """The request body as a ``cls`` wire envelope, plus the
+        ``X-Deadline-S`` budget (``None`` if absent)."""
+        deadline_s = self._header_deadline()
+        payload = repro_io.from_wire(self._read_body())
+        if not isinstance(payload, cls):
+            raise InvalidRequestError(
+                f"{self.route_path} expects a {cls.__name__} "
+                f"envelope, got {type(payload).__name__}"
+            )
+        return payload, deadline_s
+
+    # -- response side ------------------------------------------------------
+
+    def _send(self, reply: Reply, rid: str, close: bool = False) -> None:
+        payload = reply.body.encode("utf-8")
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("X-Request-Id", rid)
+        if reply.headers:
+            for name, value in reply.headers.items():
+                self.send_header(name, value)
+        if close or self.server.app.draining or self._body_unread():
+            self.send_header("Connection", "close")
+        # end_headers() without its flush: status line, headers and
+        # body leave in one write, since a split write stalls a
+        # kept-alive connection on Nagle's algorithm against the
+        # peer's delayed ACK.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+        if self._chaos_torn:
+            # Injected torn response: the headers promised the full
+            # Content-Length, but only half the body goes out before
+            # the connection is destroyed — the client must treat this
+            # as a transport failure, never parse it.
+            self._chaos_torn = False
+            self._headers_buffer.append(payload[: max(1, len(payload) // 2)])
             try:
-                self.connection.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
-                self.connection.close()
+                self.flush_headers()
             except OSError:
                 pass
-            self.wfile = io.BytesIO()
+            self._abort_connection()
+            return
+        if self.command != "HEAD":  # a HEAD response never has a body
+            self._headers_buffer.append(payload)
+        self.flush_headers()
 
-        def _apply_chaos(self, path: str, rid: str) -> bool:
-            """Inject the plan's faults; True = request fully handled."""
-            plan = server.chaos
-            if plan is None:
-                return False
-            decision = plan.decide(path)
-            if decision is None:
-                return False
-            if decision.latency_s > 0.0:
-                time.sleep(decision.latency_s)
-            if decision.action == "reset":
-                self._abort_connection()
-                return True
-            if decision.action == "torn":
-                self._chaos_torn = True  # _send truncates the real body
-                return False
-            if decision.action == "error":
-                doc = repro_io.to_wire(
-                    repro_io.ErrorResponse(
-                        code="internal",
-                        message="chaos: injected server error",
-                        request_id=rid,
-                        status=decision.status,
-                    )
-                )
-                # Drain the unread request body first: closing with
-                # unread bytes resets the connection, and the client
-                # could lose the response.
-                length = self._content_length()
-                if length <= MAX_BODY_BYTES:
-                    self.rfile.read(length)
-                    self._body_read = True
-                self._send_json(doc, status=decision.status, request_id=rid)
-                return True
+    def _send_error(self, exc: BaseException, rid: str) -> None:
+        status = http_status(exc)
+        headers: dict[str, str] | None = None
+        if status in (429, 503):
+            hint = retry_after_s(exc)
+            if hint is not None:
+                # Decimal seconds: finer-grained than the RFC's integer
+                # (integral hints round-trip unchanged).
+                headers = {"Retry-After": f"{hint:g}"}
+        doc = _error_doc(error_code(exc), str(exc), rid, status)
+        self._send(json_reply(doc, status, headers), rid)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's protocol errors (unsupported method, malformed
+        request line, oversized headers) as ``request.invalid``
+        envelopes with the stdlib's status, closing the connection."""
+        status = int(code)
+        if self.request_version == "HTTP/0.9":
+            # A request line that failed to parse leaves the stdlib's
+            # HTTP/0.9 default, which would suppress the status line.
+            self.request_version = "HTTP/1.0"
+        rid = mint_request_id()
+        message = message or self.responses.get(status, ("error",))[0]
+        doc = _error_doc("request.invalid", message, rid, status)
+        try:
+            self._send(json_reply(doc, status), rid, close=True)
+        except OSError:
+            pass
+
+    def _abort_connection(self) -> None:
+        """Destroy the connection with an RST (chaos reset/torn).
+
+        ``SO_LINGER`` with a zero timeout turns ``close()`` into an
+        abortive close, so the peer sees ``ECONNRESET`` rather than a
+        clean EOF. The buffered writer is detached first so the
+        handler's ``finish()`` doesn't trip over the dead socket.
+        """
+        self.close_connection = True
+        try:
+            self.connection.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            self.connection.close()
+        except OSError:
+            pass
+        self.wfile = io.BytesIO()
+
+    def _apply_chaos(self, path: str, rid: str) -> bool:
+        """Inject the plan's faults; True = request fully handled."""
+        plan = self.server.app.chaos
+        if plan is None:
             return False
-
-        def _content_length(self) -> int:
-            if "Transfer-Encoding" in self.headers:
-                raise InvalidRequestError(
-                    "Transfer-Encoding request bodies are not supported; "
-                    "send Content-Length"
-                )
-            raw = self.headers.get("Content-Length") or "0"
-            try:
-                length = int(raw)
-            except ValueError:
-                length = -1
-            if length < 0:
-                raise InvalidRequestError(
-                    "Content-Length must be a non-negative integer, "
-                    f"got {raw!r}"
-                )
-            return length
-
-        def _read_body(self):
+        decision = plan.decide(path)
+        if decision is None:
+            return False
+        if decision.latency_s > 0.0:
+            time.sleep(decision.latency_s)
+        if decision.action == "reset":
+            self._abort_connection()
+            return True
+        if decision.action == "torn":
+            self._chaos_torn = True  # _send truncates the real body
+            return False
+        if decision.action == "error":
+            doc = _error_doc(
+                "internal", "chaos: injected server error", rid, decision.status
+            )
+            # Drain the unread request body first: closing with unread
+            # bytes resets the connection, and the client could lose
+            # the response.
             length = self._content_length()
-            if length > MAX_BODY_BYTES:
-                raise InvalidRequestError(
-                    f"request body of {length} bytes exceeds the "
-                    f"{MAX_BODY_BYTES}-byte limit"
-                )
-            raw = self.rfile.read(length) if length else b""
-            self._body_read = True
-            try:
-                return json.loads(raw.decode("utf-8") or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                raise SerializationError(f"request body is not JSON: {e}")
-
-        def _header_deadline(self) -> float | None:
-            raw = self.headers.get("X-Deadline-S")
-            if raw is None:
-                return None
-            try:
-                budget = float(raw)
-            except ValueError:
-                raise InvalidRequestError(
-                    f"X-Deadline-S must be a number, got {raw!r}"
-                ) from None
-            if not (math.isfinite(budget) and budget > 0):
-                raise InvalidRequestError(
-                    f"X-Deadline-S must be a finite positive number, got {raw!r}"
-                )
-            return budget
-
-        def do_POST(self) -> None:  # noqa: N802 (stdlib name)
-            path = self.path.split("?", 1)[0].rstrip("/")
-            route = posts.get(path)
-            t0 = time.perf_counter()
-            with request_scope(fresh=True) as rid:
-                try:
-                    if route is None:
-                        self._send_json(
-                            {
-                                "error": f"no POST handler at {path!r}",
-                                "endpoints": sorted(ENDPOINTS),
-                            },
-                            status=404,
-                            request_id=rid,
-                        )
-                        return
-                    if self._apply_chaos(path, rid):
-                        return
-                    handler, envelope, takes_deadline = route
-                    deadline_s = self._header_deadline()
-                    payload = repro_io.from_wire(self._read_body())
-                    if not isinstance(payload, envelope):
-                        raise InvalidRequestError(
-                            f"{path} expects a {envelope.__name__} "
-                            f"envelope, got {type(payload).__name__}"
-                        )
-                    # Body fully read and valid: a retried update with
-                    # a known key replays the cached first response
-                    # instead of re-applying.
-                    idem_key = None
-                    if path == "/v1/update":
-                        idem_key = self.headers.get("Idempotency-Key")
-                        if idem_key:
-                            cached = server._idem_get(idem_key)
-                            if cached is not None:
-                                if server.registry.enabled:
-                                    server.registry.add(
-                                        "service.idempotent_replays"
-                                    )
-                                self._send_json(
-                                    cached,
-                                    request_id=rid,
-                                    extra_headers={
-                                        "Idempotency-Replay": "true"
-                                    },
-                                )
-                                return
-                    if takes_deadline:
-                        doc = handler(payload, deadline_s=deadline_s)
-                    else:
-                        doc = handler(payload)
-                    if idem_key:
-                        server._idem_put(idem_key, doc)
-                    self._send_json(doc, request_id=rid)
-                except BrokenPipeError:  # client went away mid-response
-                    pass
-                except Exception as exc:
-                    try:
-                        self._send_error(exc, rid)
-                    except OSError:
-                        pass
-                finally:
-                    if server.registry.enabled:
-                        server.registry.observe(
-                            f"service.http{path.replace('/', '.')}_time"
-                            if route is not None
-                            else "service.http.unknown_time",
-                            time.perf_counter() - t0,
-                        )
-
-        def do_GET(self) -> None:  # noqa: N802 (stdlib name)
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            with request_scope(fresh=True) as rid:
-                try:
-                    if self._apply_chaos(path, rid):
-                        return
-                    if path == "/v1/graph":
-                        self._send_json(server.handle_graph(), request_id=rid)
-                    elif path == "/readyz":
-                        doc = server.readyz()
-                        self._send_json(
-                            doc,
-                            status=200 if doc["ready"] else 503,
-                            request_id=rid,
-                        )
-                    elif path == "/metrics":
-                        self._send(
-                            to_prometheus_text(
-                                server.registry.snapshot(),
-                                prefix=server.prefix,
-                            ),
-                            "text/plain; version=0.0.4; charset=utf-8",
-                        )
-                    elif path == "/healthz":
-                        self._send_json(server.healthz(), request_id=rid)
-                    elif path == "/snapshot":
-                        self._send(
-                            snapshot_to_json(
-                                server.registry.snapshot(), indent=2
-                            )
-                            + "\n",
-                            "application/json; charset=utf-8",
-                        )
-                    elif path == "/flight":
-                        self._send_json(server.recorder.snapshot())
-                    elif path == "/":
-                        self._send_json({"endpoints": ENDPOINTS})
-                    else:
-                        self._send_json(
-                            {
-                                "error": f"unknown path {path!r}",
-                                "endpoints": sorted(ENDPOINTS),
-                            },
-                            status=404,
-                            request_id=rid,
-                        )
-                except BrokenPipeError:
-                    pass
-                except Exception as exc:
-                    try:
-                        self._send_error(exc, rid)
-                    except OSError:
-                        pass
-
-    return Handler
+            if length <= MAX_BODY_BYTES:
+                self.rfile.read(length)
+                self._body_read = True
+            self._send(json_reply(doc, decision.status), rid)
+            return True
+        return False

@@ -1035,6 +1035,105 @@ class TestKeepAlive:
                 t.join(timeout=10.0)
 
 
+def _read_until_closed(sock):
+    chunks = []
+    while chunk := sock.recv(4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRouteTable:
+    """One dispatch for every route: what each mount serves, and the
+    response hygiene every route shares."""
+
+    @pytest.mark.parametrize("mount", ["telemetry", "service"])
+    def test_every_route_answers_with_request_id(self, http_server, mount):
+        telemetry = {
+            ("GET", "/metrics"), ("GET", "/healthz"), ("GET", "/snapshot"),
+            ("GET", "/flight"), ("GET", "/"),
+        }
+        bodies = {
+            "/v1/price": repro_io.PriceRequest(5, 0),
+            "/v1/price_many": repro_io.PriceManyRequest(((5, 0), (9, 0))),
+            "/v1/update": repro_io.UpdateRequest(op="cost", node=3, value=2.0),
+        }
+        if mount == "service":
+            server = http_server
+            assert set(server.routes) == telemetry | {
+                ("POST", path) for path in bodies
+            } | {("GET", "/v1/graph"), ("GET", "/readyz")}
+        else:
+            server = service_http.HttpServer(port=0).start()
+            assert set(server.routes) == telemetry
+        try:
+            with _connect(server) as conn:
+                rids = set()
+                for method, path in server.routes:
+                    body = None
+                    if method == "POST":
+                        body = json.dumps(repro_io.to_wire(bodies[path]))
+                    conn.request(method, path, body=body)
+                    resp = conn.getresponse()
+                    resp.read()
+                    assert resp.status == 200, (method, path)
+                    rids.add(resp.getheader("X-Request-Id"))
+                conn.request("GET", "/nope")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 404
+                rids.add(resp.getheader("X-Request-Id"))
+            assert None not in rids
+            assert len(rids) == len(server.routes) + 1
+        finally:
+            if server is not http_server:
+                server.stop()
+
+    @pytest.mark.parametrize(
+        "raw_request, status",
+        [
+            (
+                b"PUT /v1/price HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 2\r\n\r\n{}",
+                501,
+            ),
+            (b"GET /healthz HTTP/x.y\r\n\r\n", 400),
+        ],
+        ids=["unsupported-method", "bad-version"],
+    )
+    def test_stdlib_protocol_errors_are_typed_envelopes(
+        self, http_server, raw_request, status
+    ):
+        with socket.create_connection(
+            ("127.0.0.1", http_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(raw_request)
+            raw = _read_until_closed(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].split()[1] == str(status).encode(), head
+        assert b"Connection: close" in lines
+        assert b"Content-Type: application/json; charset=utf-8" in lines
+        err = repro_io.from_wire(json.loads(body))
+        assert isinstance(err, repro_io.ErrorResponse)
+        assert err.code == "request.invalid"
+        assert err.status == status
+        assert f"X-Request-Id: {err.request_id}".encode() in lines
+
+    def test_head_gets_typed_501_headers_without_body(self, http_server):
+        with socket.create_connection(
+            ("127.0.0.1", http_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            raw = _read_until_closed(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].split()[1] == b"501"
+        assert b"Connection: close" in lines
+        assert b"Content-Type: application/json; charset=utf-8" in lines
+        assert any(line.startswith(b"X-Request-Id: ") for line in lines)
+        assert body == b""  # a HEAD response never carries one
+
+
 class TestRetryAfter:
     def test_503_draining_carries_retry_after(self, http_server):
         http_server.service.close()

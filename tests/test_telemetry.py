@@ -1,6 +1,7 @@
 """Tests for live telemetry: request scoping, the flight recorder,
-the HTTP telemetry server, histogram buckets, and the bench gate."""
+the telemetry routes of the HTTP server, histogram buckets, and the bench gate."""
 
+import http.client
 import io
 import json
 import logging as stdlib_logging
@@ -25,8 +26,8 @@ from repro.obs.context import (
 )
 from repro.obs.flight import FLIGHT, FlightRecorder
 from repro.obs.metrics import REGISTRY, TIMER_BUCKETS, MetricsRegistry
-from repro.obs.server import TelemetryServer
 from repro.obs.tracing import TRACER
+from repro.service import HttpServer, PricingService, ServiceServer
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -234,24 +235,39 @@ class TestFlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry HTTP server
+# Telemetry routes of the one HTTP server, on both of its mounts
 # ---------------------------------------------------------------------------
 
 
 class TestTelemetryServer:
+    """The telemetry routes on the telemetry-only mount of
+    :class:`HttpServer` that ``engine --serve`` runs.
+    :class:`TestTelemetryServerOnService` reruns every test here on a
+    :class:`ServiceServer`, which serves the same routes."""
+
+    @pytest.fixture
+    def mount(self):
+        """Builds an unstarted server; ``engine`` feeds ``/healthz``."""
+
+        def build(engine=None, **kw):
+            health = None
+            if engine is not None:
+                health = lambda: {"engine_version": engine.version}  # noqa: E731
+            return HttpServer(port=0, health=health, **kw)
+
+        return build
+
     @pytest.fixture
     def engine(self):
         g = gen.random_biconnected_graph(30, extra_edge_prob=0.15, seed=7)
         return PricingEngine(g)
 
-    def test_all_endpoints_serve(self, engine):
+    def test_all_endpoints_serve(self, mount, engine):
         REGISTRY.enable()
         FLIGHT.clear()
         engine.price(0, 5)
         engine.price(0, 5)
-        with TelemetryServer(
-            port=0, health=lambda: {"engine_version": engine.version}
-        ) as srv:
+        with mount(engine) as srv:
             assert srv.running and srv.port > 0
 
             status, metrics = _get(srv.url + "/metrics")
@@ -281,16 +297,16 @@ class TestTelemetryServer:
             assert {e["kind"] for e in fl["events"]} >= {"query", "hit"}
 
             status, body = _get(srv.url + "/")
-            assert "/metrics" in json.loads(body)["endpoints"]
+            assert "GET /metrics" in json.loads(body)["endpoints"]
 
-    def test_unknown_path_is_404(self):
-        with TelemetryServer(port=0) as srv:
+    def test_unknown_path_is_404(self, mount):
+        with mount() as srv:
             with pytest.raises(urllib.error.HTTPError) as exc:
                 _get(srv.url + "/nope")
             assert exc.value.code == 404
-            assert "/metrics" in json.loads(exc.value.read())["endpoints"]
+            assert "GET /metrics" in json.loads(exc.value.read())["endpoints"]
 
-    def test_counters_advance_between_scrapes_under_load(self, engine):
+    def test_counters_advance_between_scrapes_under_load(self, mount, engine):
         """Scrape a live engine from outside while it serves queries."""
         REGISTRY.enable()
         pairs = [(s, t) for s in range(6) for t in range(10, 16)]
@@ -301,7 +317,7 @@ class TestTelemetryServer:
                 engine.price(s, t)
             done.set()
 
-        with TelemetryServer(port=0) as srv:
+        with mount(engine) as srv:
             t = threading.Thread(target=work)
             t.start()
             seen = []
@@ -317,8 +333,8 @@ class TestTelemetryServer:
         assert final["repro_engine_queries"] == len(pairs)
         assert seen == sorted(seen), "counters are monotone across scrapes"
 
-    def test_start_twice_rejected_and_stop_idempotent(self):
-        srv = TelemetryServer(port=0).start()
+    def test_start_twice_rejected_and_stop_idempotent(self, mount):
+        srv = mount().start()
         try:
             with pytest.raises(RuntimeError, match="already running"):
                 srv.start()
@@ -327,12 +343,12 @@ class TestTelemetryServer:
         srv.stop()  # second stop is a no-op
         assert not srv.running
 
-    def test_custom_registry_and_recorder(self):
+    def test_custom_registry_and_recorder(self, mount):
         reg = MetricsRegistry(enabled=True)
         reg.add("custom.hits", 3)
         rec = FlightRecorder(capacity=4)
         rec.record("query", request_id="rX")
-        with TelemetryServer(port=0, registry=reg, recorder=rec) as srv:
+        with mount(registry=reg, recorder=rec) as srv:
             _, metrics = _get(srv.url + "/metrics")
             assert (
                 obs_export.parse_prometheus_text(metrics)[
@@ -342,6 +358,39 @@ class TestTelemetryServer:
             )
             _, body = _get(srv.url + "/flight")
             assert json.loads(body)["events"][0]["request_id"] == "rX"
+
+    def test_scrapes_share_one_connection(self, mount):
+        reg = MetricsRegistry(enabled=True)
+        with mount(registry=reg) as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=5)
+            try:
+                for path in ("/metrics", "/snapshot"):
+                    conn.request("GET", path)
+                    resp = conn.getresponse()
+                    resp.read()
+                    assert resp.status == 200 and not resp.will_close
+            finally:
+                conn.close()
+        assert reg.snapshot().counters["service.http.connections"] == 1
+
+
+class TestTelemetryServerOnService(TestTelemetryServer):
+    """Every telemetry-route test, on a :class:`ServiceServer`."""
+
+    @pytest.fixture
+    def mount(self):
+        services = []
+
+        def build(engine=None, **kw):
+            if engine is None:
+                engine = PricingEngine(gen.random_biconnected_graph(12, seed=3))
+            svc = PricingService(engine, workers=1)
+            services.append(svc)
+            return ServiceServer(svc, port=0, **kw)
+
+        yield build
+        for svc in services:
+            svc.close()
 
 
 # ---------------------------------------------------------------------------
