@@ -15,7 +15,8 @@ pool — everything but the HTTP socket).
 Two legs add the socket: a chaos leg drives the same zero-mismatch
 gate through ``PricingClient`` retries against injected faults, and a
 keep-alive leg times serial warm hits over one persistent HTTP/1.1
-connection and demands that exactly one connection was opened.
+connection and demands that exactly one connection was opened and that
+every hit was answered inline, without an admission-queue ticket.
 """
 
 import threading
@@ -348,8 +349,9 @@ KEEPALIVE_CALLS = 2000
 
 def test_http_warm_hit_keepalive(benchmark):
     """One ``PricingClient`` prices warm pairs serially through a live
-    ``ServiceServer``: every call must ride the first connection, and
-    every answer must equal ``engine.price`` at the version it names."""
+    ``ServiceServer``: every call must ride the first connection, be
+    answered inline (no admission-queue ticket), and equal
+    ``engine.price`` at the version it names."""
     from repro.obs.metrics import MetricsRegistry
     from repro.service import PricingClient, ServiceServer
 
@@ -402,6 +404,9 @@ def test_http_warm_hit_keepalive(benchmark):
     benchmark.extra_info["median_rtt_us"] = round(median_us, 1)
     benchmark.extra_info["connections_opened"] = connections_opened
     benchmark.extra_info["mismatches"] = mismatches
+    benchmark.extra_info["inline"] = svc.stats.inline
     assert len(answers) == KEEPALIVE_CALLS
     assert connections_opened == 1
     assert mismatches == 0
+    # Warm hits never take the admission-queue hop.
+    assert svc.stats.inline == KEEPALIVE_CALLS

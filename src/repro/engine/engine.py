@@ -95,6 +95,11 @@ serial execution at that answer's ``graph_version`` would produce —
 :meth:`PricingEngine.price_versioned` returns the pinned version
 alongside the payment precisely so callers (the service layer, the
 stress tests) can replay the serial oracle and check.
+:meth:`PricingEngine.price_hit` is its non-blocking counterpart for
+warm pairs: it serves only an entry stamped at the current version and
+declines (returns ``None``) instead of waiting on a writer or doing
+any computation, which lets the service answer such hits on the
+caller's thread.
 
 Two sharp edges follow from the design and are worth knowing:
 
@@ -122,6 +127,7 @@ and corruption-fallback rules live in :mod:`repro.engine.persist`
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -499,22 +505,69 @@ class PricingEngine:
             self._check_open()
             return self._price_locked(source, target), self._version
 
+    def price_hit(
+        self, source: int, target: int
+    ) -> tuple[UnicastPayment, int] | None:
+        """``(payment, graph_version)`` if a current-version pair-cache
+        entry answers ``(source, target)`` right now; otherwise ``None``.
+
+        Never waits and never computes: it declines while any writer
+        holds or awaits the lock (see
+        :meth:`~repro.engine.sync.RWLock.try_acquire_read`), when the
+        engine is closed, and for any pair without an entry stamped at
+        the current version — a miss, a stale entry (pair survival may
+        build a witness tree, which is miss-sized work), an
+        out-of-range index or ``source == target``. A declined call
+        records nothing, so a caller that falls back to :meth:`price`
+        counts the query exactly once; a served one is counted exactly
+        like a hit in :meth:`price`. Indices must be plain ``int``.
+        """
+        if not self._rw.try_acquire_read():
+            return None
+        try:
+            key = (source, target)
+            entry = None if self._closed else self._pairs.get(key)
+            if entry is None or entry[0] != self._version:
+                return None
+            return self._answer(key, entry[1]), self._version
+        finally:
+            self._rw.release_read()
+
     def _price_locked(self, source: int, target: int) -> UnicastPayment:
         source = check_node_index(source, self._graph.n)
         target = check_node_index(target, self._graph.n)
+        if source == target:
+            self.stats.queries += 1
+            self._count("queries")
+            scheme = "vcg" if self._model == "node" else "link-vcg"
+            return _empty_payment(source, target, scheme)
+        return self._answer((source, target))
+
+    def _answer(
+        self, key: tuple[int, int], current: object | None = None
+    ) -> UnicastPayment:
+        """Serve one validated ``source != target`` query with the
+        accounting every query gets: ``queries``, a request scope, the
+        ``engine.price`` span, the flight ``query`` event and the
+        ``engine.price_time`` timer.
+
+        ``current`` is the cached result of an entry the caller already
+        found stamped at this version (:meth:`price_hit`); without it
+        the pair cache is consulted and a miss is computed.
+        """
         self.stats.queries += 1
         self._count("queries")
-        scheme = "vcg" if self._model == "node" else "link-vcg"
-        if source == target:
-            return _empty_payment(source, target, scheme)
-        key = (source, target)
         with request_scope() as rid:
             t0 = time.perf_counter()
             try:
                 with _tracer.span(
-                    "engine.price", source=source, target=target
+                    "engine.price", source=key[0], target=key[1]
                 ):
-                    cached = self._lookup_pair(key)
+                    cached = (
+                        self._lookup_pair(key)
+                        if current is None
+                        else self._hit(current)
+                    )
                     res = (
                         cached
                         if cached is not None
@@ -530,18 +583,29 @@ class PricingEngine:
             _flight.record("query", rid, self._version, elapsed)
             if _metrics.enabled:
                 _metrics.observe("engine.price_time", elapsed)
-                self._update_gauges()
-            _log.debug(
-                "request priced",
-                extra={
-                    "source": source,
-                    "target": target,
-                    "hit": cached is not None,
-                    "version": self._version,
-                    "elapsed_s": round(elapsed, 6),
-                },
-            )
+                if cached is None:  # a hit adds no cache entry
+                    self._update_gauges()
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug(
+                    "request priced",
+                    extra={
+                        "source": key[0],
+                        "target": key[1],
+                        "hit": cached is not None,
+                        "version": self._version,
+                        "elapsed_s": round(elapsed, 6),
+                    },
+                )
             return res
+
+    def _hit(self, res: object) -> UnicastPayment:
+        """Count a pair-cache hit and unwrap the cached result."""
+        self.stats.cache_hits += 1
+        self._count("cache_hits")
+        _flight.record("hit", version=self._version)
+        if isinstance(res, FastPaymentResult):
+            return res.to_unicast_payment()
+        return res
 
     def _lookup_pair(self, key: tuple[int, int]) -> UnicastPayment | None:
         entry = self._pairs.get(key)
@@ -550,12 +614,7 @@ class PricingEngine:
             if stamp == self._version or self._fast_forward_pair(
                 key, stamp, res
             ):
-                self.stats.cache_hits += 1
-                self._count("cache_hits")
-                _flight.record("hit", version=self._version)
-                if isinstance(res, FastPaymentResult):
-                    return res.to_unicast_payment()
-                return res
+                return self._hit(res)
         self.stats.cache_misses += 1
         self._count("cache_misses")
         _flight.record("miss", version=self._version)

@@ -15,7 +15,11 @@ serves concurrent traffic under:
   checkpoint fires, and :meth:`PricingEngine.checkpoint` takes the
   write lock itself. A write holder may also take the read side (it is
   treated as a nested write acquisition), so a mutation can call
-  query paths without deadlocking itself.
+  query paths without deadlocking itself;
+* a **non-blocking read** (:meth:`RWLock.try_acquire_read`) succeeds
+  only when no writer holds or awaits the lock. It is how
+  :meth:`~repro.engine.PricingEngine.price_hit` serves a warm pair
+  without ever waiting.
 
 Lock *upgrades* (read → write while still holding read) deadlock by
 construction in any reader–writer scheme — two upgraders would wait on
@@ -83,6 +87,24 @@ class RWLock:
                     self._cond.wait()
                 self._readers += 1
             self._local.read_depth = depth + 1
+
+    def try_acquire_read(self) -> bool:
+        """Take the read side only if no writer is involved; never waits.
+
+        Returns False while any writer holds the lock (the caller
+        included: unlike :meth:`acquire_read` there is no
+        write-reentrant shortcut) or is waiting for it. On True the
+        caller owns one read hold and must :meth:`release_read` it; a
+        nested call under a held read succeeds the same way.
+        """
+        with self._cond:
+            if self._writer is not None or self._waiting_writers:
+                return False
+            depth = getattr(self._local, "read_depth", 0)
+            if depth == 0:
+                self._readers += 1
+            self._local.read_depth = depth + 1
+            return True
 
     def release_read(self) -> None:
         me = threading.get_ident()

@@ -6,11 +6,12 @@ north star is a system that serves that traffic concurrently. This
 package is the serving layer in front of the snapshot-isolated
 :class:`~repro.engine.PricingEngine`:
 
-* :class:`PricingService` (:mod:`repro.service.service`) — worker
-  pool behind a bounded admission queue with backpressure (429),
-  per-request deadlines (504), duplicate-request coalescing, and a
-  graceful drain that finishes queued work, checkpoints, and closes
-  the engine.
+* :class:`PricingService` (:mod:`repro.service.service`) — warm
+  current-version hits answered inline on the caller's thread; every
+  other request goes to a worker pool behind a bounded admission queue
+  with backpressure (429), per-request deadlines (504) and
+  duplicate-request coalescing; a graceful drain finishes queued work,
+  checkpoints, and closes the engine.
 * :class:`ServiceServer` (:mod:`repro.service.http`) — the stdlib
   HTTP JSON API: ``POST /v1/price`` / ``/v1/price_many`` /
   ``/v1/update``, ``GET /v1/graph`` and ``/readyz``, mounted on the
@@ -31,7 +32,7 @@ The availability layer on top (this PR's *resilience* family):
   off ⇒ byte-identical responses.
 * :class:`DegradePolicy` (:mod:`repro.service.service`) — explicit
   stale-but-stamped answers when the queue saturates or the engine is
-  mid-recovery.
+  mid-recovery (a pair served inline never needs one).
 * :class:`Supervisor` (:mod:`repro.service.supervisor`) — child-
   process supervision with ``/healthz`` probes and WAL-recovery
   restarts.

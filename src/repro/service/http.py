@@ -103,6 +103,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 import socket
 import struct
@@ -160,10 +161,16 @@ class Reply(NamedTuple):
     headers: Mapping[str, str] | None = None
 
 
+#: Compact separators keep ``json.dumps`` on the C encoder (``indent``
+#: forces the pure-Python one); built once instead of per reply.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def json_reply(
     doc, status: int = 200, headers: Mapping[str, str] | None = None
 ) -> Reply:
-    return Reply(json.dumps(doc, indent=2) + "\n", JSON, status, headers)
+    """``doc`` as a compact JSON response body."""
+    return Reply(_ENCODER.encode(doc), JSON, status, headers)
 
 
 class _Route(NamedTuple):
@@ -693,7 +700,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Silenced default stderr chatter; requests log at DEBUG instead.
     def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
-        _log.debug("http request", extra={"line": fmt % args})
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("http request", extra={"line": fmt % args})
 
     def parse_request(self) -> bool:
         # Per-request state on a connection that carries many.

@@ -6,9 +6,16 @@
 concurrent queries are bit-identical to a serial execution; this layer
 adds the serving policies a shared engine needs under load:
 
-* **Bounded admission queue.** Price queries pass through a
-  ``queue.Queue(maxsize=max_queue)`` drained by a fixed worker pool.
-  A full queue rejects *immediately* with
+* **Inline warm hits.** A pair the engine holds at the current
+  ``graph_version`` is answered on the caller's thread
+  (:meth:`PricingEngine.price_hit`): the cached payment is the exact
+  answer, so it needs no worker, deadline or coalescing. It is counted
+  as ``inline`` and never rejected, even when the queue is full. A
+  miss, a stale entry, or a writer holding or awaiting the engine lock
+  sends the request down the queued path below.
+* **Bounded admission queue.** Every other price query, and every
+  batch, passes through a ``queue.Queue(maxsize=max_queue)`` drained
+  by a fixed worker pool. A full queue rejects *immediately* with
   :class:`~repro.errors.ServiceOverloadedError` (HTTP 429) — callers
   get a fast, honest "back off" instead of an unbounded latency tail.
 * **Deadlines.** Every request carries a deadline (default
@@ -32,13 +39,14 @@ adds the serving policies a shared engine needs under load:
   engine is durable, and closes the engine (flushing its WAL).
 
 Every answer carries the ``graph_version`` it was computed at —
-returned by :meth:`PricingEngine.price_versioned` under the same
-read-lock hold that served the query — so callers can replay a serial
-oracle against the recorded update history and verify bit-identity
+returned by :meth:`PricingEngine.price_versioned` (or
+:meth:`PricingEngine.price_hit`) under the same read-lock hold that
+served the query — so callers can replay a serial oracle against the
+recorded update history and verify bit-identity
 (``tests/test_service.py`` and ``benchmarks/bench_service.py`` do).
 
-Observability: counters under ``service.*`` (requests, coalesced,
-rejected, timeouts, updates, batches), latency histograms
+Observability: counters under ``service.*`` (requests, inline,
+coalesced, rejected, timeouts, updates, batches), latency histograms
 (``service.price_time``, ``service.batch_time``,
 ``service.update_time``) and queue-depth gauges, all in the process
 registry (:mod:`repro.obs.metrics`) next to the ``engine.*`` family.
@@ -90,7 +98,9 @@ class ServiceStats:
     in queue), ``updates`` applied mutations, ``degraded`` answers
     served from the last-committed cache instead of a fresh snapshot
     read, ``expired`` tickets a worker skipped because their deadline
-    passed while they sat in the admission queue.
+    passed while they sat in the admission queue, ``inline`` requests
+    answered on the caller's thread from a current-version cache entry
+    without a ticket (they count in ``requests`` too).
     """
 
     requests: int = 0
@@ -101,6 +111,7 @@ class ServiceStats:
     updates: int = 0
     degraded: int = 0
     expired: int = 0
+    inline: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict view (reports, ``/healthz``)."""
@@ -378,9 +389,14 @@ class PricingService:
     def price(
         self, source: int, target: int, deadline_s: float | None = None
     ) -> PricedAnswer:
-        """Price one request through the admission queue.
+        """Price one request: inline when warm, else through the queue.
 
-        Coalesces onto an in-flight duplicate when one exists. Raises
+        A pair the engine can answer from a current-version cache entry
+        (:meth:`PricingEngine.price_hit`) is answered on the calling
+        thread, counted in ``inline``; it takes no ticket, so a full
+        queue never rejects it. Every other request is admitted to the
+        queue and coalesces onto an in-flight duplicate when one
+        exists. Raises
         :class:`~repro.errors.ServiceOverloadedError` on a full queue,
         :class:`~repro.errors.DeadlineExceededError` on expiry,
         :class:`~repro.errors.ServiceClosedError` after :meth:`close`,
@@ -389,6 +405,18 @@ class PricingService:
         """
         deadline = self._resolve_deadline(deadline_s)
         key = (int(source), int(target))
+        if not (self._closed or self._recovering):
+            # A current-version hit is the exact answer and needs no
+            # worker, so it skips the queue (and its 429s) entirely.
+            hit = self._engine.price_hit(*key)
+            if hit is not None:
+                with self._mu:
+                    self.stats.requests += 1
+                    self.stats.inline += 1
+                    self._count("requests")
+                    self._count("inline")
+                    self._record_last_good_locked(key, *hit)
+                return PricedAnswer(*hit, coalesced=False)
         with self._mu:
             if self._closed:
                 raise ServiceClosedError(

@@ -9,9 +9,11 @@ RWLock semantics, coalescing, backpressure (429), deadlines (504),
 graceful drain, and the HTTP wire surface.
 """
 
+import collections
 import contextlib
 import http.client
 import json
+import logging
 import socket
 import struct
 import threading
@@ -32,6 +34,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.graph import generators as gen
+from repro.obs.flight import FLIGHT
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     ChaosPlan,
@@ -144,6 +147,83 @@ class TestRWLock:
         tw.join(timeout=5)
         tr.join(timeout=5)
         assert order == ["w", "r"]
+
+    def test_try_read_refused_while_another_thread_writes(self):
+        lock = RWLock()
+        holding, release = threading.Event(), threading.Event()
+
+        def writer():
+            with lock.write_locked():
+                holding.set()
+                release.wait(timeout=5)
+
+        t = threading.Thread(target=writer, daemon=True)
+        t.start()
+        try:
+            assert holding.wait(timeout=5)
+            assert not lock.try_acquire_read()
+        finally:
+            release.set()
+            t.join(timeout=5)
+        assert lock.try_acquire_read()
+        lock.release_read()
+
+    def test_try_read_refused_while_a_writer_waits(self):
+        lock = RWLock()
+        lock.acquire_read()
+
+        def writer():
+            with lock.write_locked():
+                pass
+
+        t = threading.Thread(target=writer, daemon=True)
+        t.start()
+        got = []
+        try:
+            wait_until(lambda: lock._waiting_writers == 1)
+            probe = threading.Thread(
+                target=lambda: got.append(lock.try_acquire_read())
+            )
+            probe.start()
+            probe.join(timeout=5)
+        finally:
+            lock.release_read()
+            t.join(timeout=5)
+        assert got == [False]
+        assert not t.is_alive()
+
+    def test_try_read_refused_for_the_write_holder(self):
+        """No write-reentrant shortcut: a paused engine's own thread
+        must take the queued path, not the inline one."""
+        lock = RWLock()
+        with lock.write_locked():
+            assert not lock.try_acquire_read()
+            assert lock.write_held
+        assert not lock.write_held
+
+    def test_try_read_nests_under_a_read_and_releases_balance(self):
+        lock = RWLock()
+        with lock.read_locked():
+            assert lock.try_acquire_read()
+            assert lock.read_held
+            lock.release_read()
+            assert lock.read_held
+        assert not lock.read_held
+        assert lock.try_acquire_read()
+        lock.release_read()
+        with pytest.raises(RuntimeError):
+            lock.release_read()
+        # Every hold released: a writer gets in without waiting.
+        acquired = threading.Event()
+
+        def writer():
+            with lock.write_locked():
+                acquired.set()
+
+        t = threading.Thread(target=writer, daemon=True)
+        t.start()
+        assert acquired.wait(timeout=5)
+        t.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +517,137 @@ def _submit_async_deadline(svc, s, t, deadline_s):
     thread = threading.Thread(target=run)
     thread.start()
     return thread, box
+
+
+# ---------------------------------------------------------------------------
+# Inline warm hits: answered on the caller's thread, no ticket
+# ---------------------------------------------------------------------------
+
+
+class TestInlineHits:
+    @staticmethod
+    def _stall_misses(monkeypatch, eng):
+        """Make every engine miss wait on the returned Event — workers
+        stall inside a read hold, with no writer anywhere."""
+        gate = threading.Event()
+        compute = eng._compute_pair
+
+        def stalled(key):
+            gate.wait(timeout=10)
+            return compute(key)
+
+        monkeypatch.setattr(eng, "_compute_pair", stalled)
+        return gate
+
+    def test_warm_pair_answered_fresh_while_queue_is_full(self, monkeypatch):
+        g = gen.random_biconnected_graph(24, seed=41)
+        eng = PricingEngine(g, on_monopoly="inf")
+        svc = PricingService(
+            eng, workers=1, max_queue=1, deadline_s=30.0,
+            degrade=DegradePolicy(),
+        )
+        fresh = svc.price(5, 0)  # a miss: queued, and now cached
+        assert svc.stats.inline == 0
+        gate = self._stall_misses(monkeypatch, eng)
+        try:
+            waiters = [_submit_async(svc, 1, 0)]
+            wait_until(lambda: svc.queue_depth == 0 and svc.stats.requests == 2)
+            waiters.append(_submit_async(svc, 2, 0))
+            wait_until(lambda: svc.queue_depth == 1)
+            warm = svc.price(5, 0)
+            assert not warm.degraded and not warm.coalesced
+            assert warm.graph_version == eng.version
+            assert answer_key(warm.payment) == answer_key(fresh.payment)
+            assert svc.stats.inline == 1
+            assert svc.stats.degraded == 0 and svc.stats.rejected == 0
+            assert svc.queue_depth == 1
+            # A pair that needs a worker still gets the honest 429.
+            with pytest.raises(ServiceOverloadedError):
+                svc.price(7, 0)
+            assert svc.stats.rejected == 1
+        finally:
+            gate.set()
+        for thread, box in waiters:
+            thread.join(timeout=10)
+            assert box["error"] is None
+        svc.close()
+
+    def test_stale_pair_takes_the_queue(self, service):
+        eng = service.engine
+        service.price(7, 0)
+        service.price(7, 0)
+        assert service.stats.inline == 1
+        before = eng.stats.retained + eng.stats.invalidations
+        service.update_cost(3, 7.5)
+        answer = service.price(7, 0)
+        assert answer.graph_version == 1
+        assert service.stats.inline == 1  # unchanged: went through a ticket
+        assert eng.stats.retained + eng.stats.invalidations > before
+        assert service.price(7, 0).graph_version == 1
+        assert service.stats.inline == 2  # current again after the queue
+
+    def test_declined_attempt_counts_the_query_once(self, service):
+        eng = service.engine
+        q0, m0 = eng.stats.queries, eng.stats.cache_misses
+        for s, t in ((9, 0), (4, 4)):  # a miss, then source == target
+            service.price(s, t)
+        assert eng.stats.queries - q0 == 2
+        assert eng.stats.cache_misses - m0 == 1
+        assert service.stats.inline == 0
+        assert eng.price_hit(999, 0) is None and eng.price_hit(-1, 0) is None
+        assert eng.stats.queries - q0 == 2
+
+    def test_engine_accounting_matches_the_queued_hit(self, service):
+        eng = service.engine
+        service.price(5, 0)  # warm
+
+        def run(price):
+            q0, h0 = eng.stats.queries, eng.stats.cache_hits
+            FLIGHT.clear()
+            for _ in range(100):
+                price(5, 0)
+            kinds = collections.Counter(e["kind"] for e in FLIGHT.events())
+            return eng.stats.queries - q0, eng.stats.cache_hits - h0, kinds
+
+        via_service = run(service.price)
+        via_engine = run(eng.price)
+        assert service.stats.inline == 100
+        assert via_service == via_engine
+        assert via_engine[:2] == (100, 100)
+        assert via_engine[2] == {"hit": 100, "query": 100}
+
+    def test_price_hit_declines_under_a_writer(self, service):
+        eng = service.engine
+        service.price(5, 0)
+        assert eng.price_hit(5, 0) is not None
+        with eng.paused():
+            assert eng.price_hit(5, 0) is None
+
+    def test_hit_debug_log_carries_hit_and_version(
+        self, service, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        service.price(5, 0)
+        with caplog.at_level(logging.DEBUG, logger="repro.engine"):
+            service.price(5, 0)
+            service.engine.price(5, 0)
+        priced = [r for r in caplog.records if r.getMessage() == "request priced"]
+        assert len(priced) == 2
+        for record in priced:
+            assert record.hit is True
+            assert record.version == service.engine.version
+
+    def test_price_body_is_compact_json(self, http_server):
+        for _ in range(2):  # the miss, then the inline hit
+            req = urllib.request.Request(
+                f"{http_server.url}/v1/price",
+                data=_price_body(5, 0),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                raw = resp.read().decode()
+            assert raw == json.dumps(json.loads(raw), separators=(",", ":"))
+        assert http_server.service.stats.inline == 1
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +994,7 @@ class TestHTTP:
         assert doc["recovering"] is False
         assert set(doc["service"]) == {
             "requests", "batches", "coalesced", "rejected",
-            "timeouts", "updates", "degraded", "expired",
+            "timeouts", "updates", "degraded", "expired", "inline",
         }
 
     def test_unknown_path_404_lists_endpoints(self, http_server):
