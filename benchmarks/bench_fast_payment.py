@@ -9,11 +9,15 @@ scaling test asserts the fast path's advantage grows with n.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.fast_payment import fast_vcg_payments
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.graph import generators as gen
+from repro.graph.dijkstra import node_weighted_spt
+from repro.obs.metrics import REGISTRY
+from repro.wireless.topology import build_node_graph_from_udg
 
 from conftest import emit
 
@@ -105,10 +109,12 @@ def test_vectorized_beats_scalar(benchmark, scale):
 
     ``backend="numpy"`` and ``backend="python"`` share the same
     pure-Python SPT build, so this comparison isolates exactly what the
-    vectorization changed: region bucketing, the boundary closures
-    min-scan, and the crossing-edge table. Payments must agree bit-for-
-    bit (the kernels only reorder exact min/filter reductions), and the
-    vectorized path must win on the 400-node instance.
+    vectorization changed: the steps 3-5 tables built from one pass
+    over the CSR arcs (closures, crossing edges, and every region
+    search in one scipy Dijkstra) instead of per-node and per-edge
+    loops. Payments must agree bit-for-bit (the kernels only reorder
+    exact min/filter reductions), and the vectorized path must win on
+    the 400-node instance.
     """
     n = 400
     g, s, t = _instance(n)  # dense: kernel work is a meaningful slice
@@ -133,3 +139,77 @@ def test_vectorized_beats_scalar(benchmark, scale):
         iterations=1,
     )
     assert t_vec < t_scalar
+
+
+# Measured on a 2-vCPU VM: 4.75-5.04 with the four separate step 3-5
+# kernels, 2.09-2.36 with the fused arc pass.
+WARM_KERNEL_MAX_RATIO = 3.5
+
+
+def test_warm_kernel_vs_dijkstra(benchmark):
+    """A warm miss costs a few Dijkstras, as Section III.B bounds it.
+
+    With both endpoint SPTs supplied (the pricing engine's steady state),
+    ``fast_vcg_payments`` is only the steps 2-6 kernels, which the paper
+    bounds at O(n log n + m). The gate is a ratio taken in one process:
+    the median over 24 pairs of the min-of-7 per-pair kernel time, over
+    the median of the min-of-7 bare ``scipy.sparse.csgraph.dijkstra``
+    time from the same sources on ``g.to_tailcost_matrix()``. Both sides
+    run the same machine's compiled Dijkstra, so the ratio does not
+    depend on the machine's speed. Metrics are off while timing.
+
+    Instance: the 500-node unit-disk deployment the engine benches and
+    the HTTP benchmark price on (2000 m square, 300 m range, costs
+    U(1, 10), seed 2004). The bound sits between the ratio of the four
+    separate step 3-5 kernels, which built a COO region graph per miss,
+    and that of the fused arc pass over the cached CSR.
+    """
+    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+
+    rng = np.random.default_rng(2004)
+    points = rng.uniform(0.0, 2000.0, size=(500, 2))
+    costs = rng.uniform(1.0, 10.0, size=500)
+    g = build_node_graph_from_udg(points, 300.0, costs)
+    mat = g.to_tailcost_matrix()
+    pick = np.random.default_rng(16)
+    trees = {}
+    pairs = []
+    while len(pairs) < 24:
+        s, t = (int(v) for v in pick.choice(g.n, 2, replace=False))
+        for root in (s, t):
+            if root not in trees:
+                trees[root] = node_weighted_spt(g, root, backend="scipy")
+        if trees[s].reachable(t) and len(trees[s].path_from_root(t)) > 2:
+            pairs.append((s, t))
+
+    def kernel(s, t):
+        return fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                 spt_source=trees[s], spt_target=trees[t])
+
+    was_enabled = REGISTRY.enabled
+    REGISTRY.disable()
+    try:
+        kernel(*pairs[0])  # warm-up: scipy import, cached CSR arrays
+        t_kernel = float(np.median(
+            [_best_of(lambda: kernel(s, t), repeats=7) for s, t in pairs]
+        ))
+        t_dijkstra = float(np.median([
+            _best_of(lambda: sp_dijkstra(mat, directed=True, indices=s),
+                     repeats=7)
+            for s, _ in pairs
+        ]))
+    finally:
+        if was_enabled:
+            REGISTRY.enable()
+    ratio = t_kernel / t_dijkstra
+    emit(
+        f"warm Algorithm-1 miss on n={g.n}, m={g.num_edges}: "
+        f"{t_kernel * 1e6:.0f} us per pair vs bare Dijkstra "
+        f"{t_dijkstra * 1e6:.0f} us (x{ratio:.2f}, "
+        f"gate < {WARM_KERNEL_MAX_RATIO})"
+    )
+    benchmark.extra_info["kernel_us"] = round(t_kernel * 1e6, 1)
+    benchmark.extra_info["dijkstra_us"] = round(t_dijkstra * 1e6, 1)
+    benchmark.extra_info["ratio"] = round(ratio, 2)
+    benchmark.pedantic(lambda: kernel(*pairs[0]), rounds=3, iterations=1)
+    assert ratio < WARM_KERNEL_MAX_RATIO

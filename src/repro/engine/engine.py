@@ -790,15 +790,16 @@ class PricingEngine:
             elapsed = time.perf_counter() - t0
             _flight.record("batch", rid, self._version, elapsed)
             self._update_gauges()
-            _log.debug(
-                "batch priced",
-                extra={
-                    "pairs": len(out),
-                    "misses": len(todo),
-                    "version": self._version,
-                    "elapsed_s": round(elapsed, 6),
-                },
-            )
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug(
+                    "batch priced",
+                    extra={
+                        "pairs": len(out),
+                        "misses": len(todo),
+                        "version": self._version,
+                        "elapsed_s": round(elapsed, 6),
+                    },
+                )
             return out
 
     def _price_batch_serial(

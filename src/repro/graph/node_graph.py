@@ -47,7 +47,7 @@ class NodeWeightedGraph:
     """
 
     __slots__ = (
-        "n", "costs", "indptr", "indices", "_nx_cache", "_arc_src", "_tailcost"
+        "n", "costs", "indptr", "indices", "_nx_cache", "_topology", "_tailcost"
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], costs) -> None:
@@ -61,7 +61,7 @@ class NodeWeightedGraph:
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         self._nx_cache = None
-        self._arc_src = None
+        self._topology: dict[str, object] = {}
         self._tailcost = None
 
     # -- construction --------------------------------------------------------
@@ -154,7 +154,7 @@ class NodeWeightedGraph:
         for a in (g.costs, g.indptr, g.indices):
             a.setflags(write=False)
         g._nx_cache = None
-        g._arc_src = None
+        g._topology = {}
         g._tailcost = None
         return g
 
@@ -167,7 +167,10 @@ class NodeWeightedGraph:
         g.indptr = self.indptr
         g.indices = self.indices
         g._nx_cache = None
-        g._arc_src = self._arc_src  # topology-only cache, safe to share
+        # Topology-only caches live in one dict that every cost version of
+        # this topology shares, so whichever version builds one first
+        # builds it for all of them.
+        g._topology = self._topology
         g._tailcost = None  # cost-dependent, cannot be shared
         return g
 
@@ -241,11 +244,46 @@ class NodeWeightedGraph:
         ``arc_sources()[k]``. Cached and read-only — this expansion is
         what lets per-edge scans run as whole-array numpy expressions.
         """
-        if self._arc_src is None:
+        src = self._topology.get("arc_src")
+        if src is None:
             src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
             src.setflags(write=False)
-            self._arc_src = src
-        return self._arc_src
+            self._topology["arc_src"] = src
+        return src
+
+    def augmented_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as int32 ``(indptr, indices)`` plus one
+        *virtual-source* row ``n`` with an arc to every node.
+
+        The index structure of an ``(n + 1) x (n + 1)`` CSR matrix whose
+        first ``n`` rows are the graph's arcs in CSR order and whose last
+        row is ``n -> 0 .. n-1``. Pair it with a weight vector (the ``2m``
+        arc weights in CSR order, then ``n`` virtual-source weights) to
+        hand scipy a multi-seed search without building a matrix per
+        call; an arc weighted ``+inf`` reaches nothing. Its leading
+        ``n + 1`` / ``2m`` entries are also the index arrays of
+        :meth:`to_tailcost_matrix`. int32 is the index type
+        ``scipy.sparse.csgraph`` solves over, so no call converts it.
+
+        Topology-only: cached read-only in the dict that every
+        :meth:`with_costs` version of this topology shares, so they all
+        use one copy, whichever built it. Concurrent first callers may
+        each build it; the copies are equal.
+        """
+        csr = self._topology.get("csr32")
+        if csr is None:
+            n = self.n
+            nnz = self.indices.shape[0]
+            indptr = np.empty(n + 2, dtype=np.int32)
+            indptr[:-1] = self.indptr
+            indptr[-1] = nnz + n
+            indices = np.empty(nnz + n, dtype=np.int32)
+            indices[:nnz] = self.indices
+            indices[nnz:] = np.arange(n, dtype=np.int32)
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            csr = self._topology["csr32"] = (indptr, indices)
+        return csr
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an ``(m, 2)`` array with ``u < v`` rows."""
@@ -346,16 +384,20 @@ class NodeWeightedGraph:
 
         The matrix is cached (the graph is immutable) — per-source and
         batched Dijkstra calls over the same snapshot reuse one CSR
-        instead of rebuilding it per call. Callers must not mutate it.
+        instead of rebuilding it per call. Its read-only index arrays
+        view :meth:`augmented_csr`, which cost-only versions share, so a
+        version owns only its ``data``. Callers must not mutate it.
         """
         if self._tailcost is None:
             from scipy.sparse import csr_matrix
 
-            data = self.costs[self.arc_sources()].copy()
+            indptr, indices = self.augmented_csr()
+            data = self.costs[self.arc_sources()]
             data[data <= 0.0] = 1e-300
             self._tailcost = csr_matrix(
-                (data, self.indices.copy(), self.indptr.copy()),
+                (data, indices[: self.indices.shape[0]], indptr[:-1]),
                 shape=(self.n, self.n),
+                copy=False,
             )
         return self._tailcost
 

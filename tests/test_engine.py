@@ -7,6 +7,8 @@ then-current graph — the engine's caches may only change *when* work
 happens, never the numbers.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,21 @@ class TestPriceMany:
         out = eng.price_many([(5, 0), (5, 0), (6, 0)])
         assert set(out) == {(5, 0), (6, 0)}
         assert eng.stats.cache_misses == 2
+
+    def test_batch_debug_log_keeps_its_fields(
+        self, random_graph, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        eng = PricingEngine(random_graph)
+        eng.price(5, 0)
+        with caplog.at_level(logging.DEBUG, logger="repro.engine"):
+            eng.price_many([(5, 0), (6, 0), (7, 0)])
+        batch = [r for r in caplog.records if r.getMessage() == "batch priced"]
+        assert len(batch) == 1
+        record = batch[0]
+        assert (record.pairs, record.misses) == (3, 2)
+        assert record.version == eng.version
+        assert record.elapsed_s >= 0.0
 
 
 class TestLinkModel:

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core import fast_payment
 from repro.core.fast_payment import fast_vcg_payments
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.errors import DisconnectedError, MonopolyError
 from repro.graph import generators as gen
 from repro.graph.avoiding import avoiding_distance
+from repro.graph.dijkstra import node_weighted_spt
 from repro.graph.node_graph import NodeWeightedGraph
+from repro.wireless.topology import build_node_graph_from_udg
 
 from conftest import graph_with_endpoints
 
@@ -148,11 +151,12 @@ class TestVectorizedBackend:
     def test_trailing_isolated_node_regression(self):
         """Trailing degree-0 nodes must not perturb the closure minima.
 
-        Regression: ``_neighbor_closures`` once clipped its reduceat
-        offsets to ``len(arcs) - 1`` to keep trailing empty CSR rows in
-        range, which silently dropped the last arc of the final
-        non-empty row — the vectorized backend then reported spurious
-        monopolies (inf payments) the scalar oracle did not.
+        Regression: the per-node closure minima were once taken with
+        ``np.minimum.reduceat`` over CSR rows, with offsets clipped to
+        ``len(arcs) - 1`` to keep trailing empty rows in range, which
+        silently dropped the last arc of the final non-empty row — the
+        vectorized backend then reported spurious monopolies (inf
+        payments) the scalar oracle did not.
         """
         edges = [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (2, 5), (2, 6),
                  (3, 5), (4, 6)]  # nodes 1 and 7 isolated
@@ -186,6 +190,91 @@ class TestVectorizedBackend:
             vec = fast_vcg_payments(g, s, t, on_monopoly="inf",
                                     backend="numpy")
             self._assert_identical(scalar, vec)
+
+    def test_numpy_matches_python_tie_heavy_costs(self):
+        """Zero and small-integer costs, exact agreement.
+
+        Equal-cost paths everywhere, and zero-cost arcs and zero region
+        seeds, which the scipy region search carries as ``1e-300``
+        nudges and clips back to exact zeros.
+        """
+        rng = np.random.default_rng(16)
+        for trial in range(600):
+            n = int(rng.integers(4, 26))
+            g = gen.random_biconnected_graph(
+                n, extra_edge_prob=float(rng.uniform(0, 0.6)),
+                seed=int(rng.integers(2**31)),
+            )
+            if trial % 3 == 0:
+                g = g.with_costs(np.zeros(n))
+            else:
+                g = g.with_costs(rng.integers(0, 3, n).astype(float))
+            s, t = (int(v) for v in rng.choice(n, 2, replace=False))
+            scalar = fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                       backend="python")
+            vec = fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                    backend="numpy")
+            self._assert_identical(scalar, vec)
+
+    def test_numpy_matches_python_on_udg_deployment(self):
+        """30 pairs on a 500-node unit-disk deployment, exact agreement:
+        the scale the pricing engine serves, with long routes and
+        regions of hundreds of nodes."""
+        rng = np.random.default_rng(2004)
+        points = rng.uniform(0.0, 2000.0, size=(500, 2))
+        costs = rng.uniform(1.0, 10.0, size=500)
+        g = build_node_graph_from_udg(points, 300.0, costs)
+        trees = {}
+        compared = 0
+        while compared < 30:
+            s, t = (int(v) for v in rng.choice(g.n, 2, replace=False))
+            for root in (s, t):
+                if root not in trees:
+                    trees[root] = node_weighted_spt(g, root, backend="python")
+            if not trees[s].reachable(t):
+                continue
+            kwargs = dict(on_monopoly="inf", spt_source=trees[s],
+                          spt_target=trees[t])
+            scalar = fast_vcg_payments(g, s, t, backend="python", **kwargs)
+            vec = fast_vcg_payments(g, s, t, backend="numpy", **kwargs)
+            self._assert_identical(scalar, vec)
+            compared += 1
+
+    def test_heap_fallback_matches_python(self, monkeypatch):
+        """Crossing edges whose validity spans sum past ``4 E + 65536``
+        take the lazy-heap sweep on the numpy path too, exactly.
+
+        A 560-node cheap path with 300 expensive side nodes, each
+        bridging path nodes ``i`` and ``i + 251``: each bridge is a
+        crossing edge valid for 250 removal levels, 75,000 in all. Side
+        node ids are shuffled against ``i``, so the arcs do not come in
+        entry-level order and the sweep must sort them.
+        """
+        length, span, bridges = 560, 251, 300
+        rng = np.random.default_rng(5)
+        edges = [(i, i + 1) for i in range(length - 1)]
+        for k, i in enumerate(rng.permutation(bridges)):
+            edges += [(length + k, int(i)), (length + k, int(i) + span)]
+        costs = np.concatenate([np.ones(length),
+                                rng.uniform(500.0, 1000.0, bridges)])
+        g = NodeWeightedGraph(length + bridges, edges, costs)
+        scalar = fast_vcg_payments(g, 0, length - 1, on_monopoly="inf",
+                                   backend="python")
+        sweeps = []
+        heap = fast_payment._crossing_minima_heap
+
+        def spy(starts, values, expiries, s):
+            sweeps.append(len(starts))
+            return heap(starts, values, expiries, s)
+
+        monkeypatch.setattr(fast_payment, "_crossing_minima_heap", spy)
+        vec = fast_vcg_payments(g, 0, length - 1, on_monopoly="inf",
+                                backend="numpy")
+        assert sweeps == [bridges]
+        self._assert_identical(scalar, vec)
+        assert vec.stats["crossing_edges"] == bridges
+        finite = [p for p in vec.payments.values() if np.isfinite(p)]
+        assert len(finite) > length // 2  # the bridges price most relays
 
     def test_scipy_backend_close(self, random_graph):
         """The scipy SPT may break distance ties differently, so the

@@ -10,6 +10,12 @@ from repro.graph.node_graph import NodeWeightedGraph
 from conftest import biconnected_graphs
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s buffer (``a`` itself if not a view)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
 class TestConstruction:
     def test_basic(self, small_graph):
         assert small_graph.n == 6
@@ -169,6 +175,43 @@ class TestTailCostTransform:
         a = node_weighted_spt(random_graph, 5, backend="python")
         b = node_weighted_spt(random_graph, 5, backend="scipy")
         assert np.array_equal(a.dist, b.dist)
+
+    def test_cost_versions_share_index_arrays(self, random_graph):
+        """A cost-only version owns only its matrix data: the int32 index
+        arrays are one topology-wide buffer, and its trees are
+        bit-identical to those of a graph built from scratch."""
+        from repro.graph.dijkstra import node_weighted_spt
+
+        g = random_graph
+        costs = np.random.default_rng(3).uniform(0.5, 20.0, g.n)
+        costs[4] = 0.0  # a zero cost takes the 1e-300 nudge
+        v2 = g.with_costs(costs)  # before either version built a matrix
+        mat, base = v2.to_tailcost_matrix(), g.to_tailcost_matrix()
+        indptr, indices = g.augmented_csr()
+        for m in (base, mat):
+            assert _owner(m.indices) is indices
+            assert _owner(m.indptr) is indptr
+        assert not np.shares_memory(mat.data, base.data)
+        fresh = NodeWeightedGraph(g.n, list(g.edge_iter()), costs)
+        for root in (0, 4, g.n - 1):
+            a = node_weighted_spt(v2, root, backend="scipy")
+            b = node_weighted_spt(fresh, root, backend="scipy")
+            assert np.array_equal(a.dist, b.dist)
+            assert np.array_equal(a.parent, b.parent)
+
+    def test_augmented_csr_layout(self, random_graph):
+        g = random_graph
+        indptr, indices = g.augmented_csr()
+        nnz = g.indices.shape[0]
+        assert indptr.dtype == indices.dtype == np.int32
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        assert np.array_equal(indptr[:-1], g.indptr)
+        assert np.array_equal(indices[:nnz], g.indices)
+        # row n is the virtual source: one arc to every node
+        assert indptr[-1] == nnz + g.n
+        assert np.array_equal(indices[nnz:], np.arange(g.n))
+        assert g.augmented_csr() is g.augmented_csr()
+        assert g.with_costs(np.ones(g.n)).augmented_csr() is g.augmented_csr()
 
 
 class TestKHopNeighborhood:
