@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.engine import PricingEngine, generate_workload, replay
+from repro.obs.metrics import REGISTRY
 from repro.wireless.topology import build_node_graph_from_udg
 
 from conftest import emit
@@ -277,3 +278,93 @@ def test_price_many_shares_work(benchmark):
         iterations=1,
     )
     assert t_warm < t_cold
+
+
+def _retained_bytes(fn) -> int:
+    """Bytes still allocated after ``fn()`` returns (tracemalloc, after
+    a full collection on both sides): what ``fn`` left resident."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_entry_bytes(benchmark):
+    """Memory gate: resident bytes per newly cached pair.
+
+    A pair-cache entry is the answer plus one witnessed cost, so a new
+    pair on warm SPTs must cost < 2 KB resident on the 500-node
+    deployment; an entry that kept the whole Algorithm-1 result, with
+    its n-length ``levels`` array, costs ~5.6 KB. Counts allocations,
+    not time, so it holds on any machine. The metrics registry is off
+    for the measurement, and the flight ring is already full, so
+    neither grows with the pairs.
+    """
+    REGISTRY.disable()
+    g = _udg_instance()
+    rng = np.random.default_rng(2004)
+    ends = [int(v) for v in rng.choice(np.arange(1, g.n), 40, replace=False)]
+    eng = PricingEngine(g, on_monopoly="inf")
+    for _ in range(4):  # warm every endpoint's SPT and fill the flight ring
+        for e in ends:
+            eng.price(e, 0)
+    fresh = [(a, b) for a in ends for b in ends if a != b][:400]
+    before = len(eng._pairs)
+    per_pair = _retained_bytes(
+        lambda: [eng.price(s, t) for s, t in fresh]
+    ) / len(fresh)
+    assert len(eng._pairs) - before == len(fresh)
+    assert eng.stats.spt_cache_misses == len(ends) + 1  # SPTs were warm
+    emit(f"pair cache: {per_pair:.0f} B resident per new pair "
+         f"({len(fresh)} pairs, n={g.n})")
+    benchmark.extra_info["bytes_per_pair"] = round(per_pair)
+    benchmark.extra_info["pairs"] = len(fresh)
+    benchmark.pedantic(lambda: eng.price(*fresh[0]), rounds=1, iterations=1)
+    assert per_pair < 2048
+
+
+def test_update_log_bytes(benchmark):
+    """Memory gate: resident bytes per logged cost update.
+
+    Each of 128 updates (the log's capacity) is followed by a query
+    whose pair fast-forwards through it, so every logged update builds
+    its witness tree. A log entry then holds one cost vector and one
+    tree, so it must cost < 32 KB on the 500-node deployment; an entry
+    that pinned a graph snapshot with its O(m) tail-cost matrix costs
+    ~138 KB.
+    """
+    REGISTRY.disable()
+    g = _udg_instance()
+    rng = np.random.default_rng(2004)
+    s, t = 17, 0
+    eng = PricingEngine(g, on_monopoly="inf")
+    for _ in range(300):  # warm the pair and fill the flight ring
+        eng.price(s, t)
+    others = np.setdiff1d(np.arange(g.n), [s, t])
+    updates = [
+        (int(rng.choice(others)), float(rng.uniform(1.0, 10.0)))
+        for _ in range(128)
+    ]
+
+    def run():
+        for node, cost in updates:
+            eng.update_cost(node, cost)
+            eng.price(s, t)
+
+    per_update = _retained_bytes(run) / len(updates)
+    assert len(eng._log) == len(updates)
+    assert all(upd.witness is not None for upd in eng._log.values())
+    emit(f"update log: {per_update / 1024:.1f} KB resident per logged "
+         f"update ({len(updates)} updates, witnesses built, n={g.n})")
+    benchmark.extra_info["bytes_per_update"] = round(per_update)
+    benchmark.extra_info["updates"] = len(updates)
+    benchmark.pedantic(lambda: eng.price(s, t), rounds=1, iterations=1)
+    assert per_update < 32 * 1024

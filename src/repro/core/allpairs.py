@@ -19,11 +19,11 @@ with all-to-all traffics". This module does both:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.fast_payment import fast_vcg_payments
+from repro.core.fast_payment import FastPaymentResult, fast_vcg_payments
 from repro.core.mechanism import UnicastPayment, spt_backend_for
 from repro.errors import InvalidGraphError
 from repro.graph.dijkstra import (
@@ -72,7 +72,27 @@ def pairwise_vcg_payments(
     as requested — callers with symmetric traffic can halve the work by
     canonicalizing pairs themselves.
     """
-    out: dict[tuple[int, int], UnicastPayment] = {}
+    return {
+        key: res.to_unicast_payment()
+        for key, res in _fast_results(
+            g, pairs, on_monopoly, backend, spt_cache
+        )
+    }
+
+
+def _fast_results(
+    g: NodeWeightedGraph,
+    pairs: Iterable[tuple[int, int]],
+    on_monopoly: str,
+    backend: str,
+    spt_cache: dict[int, ShortestPathTree] | None = None,
+) -> Iterator[tuple[tuple[int, int], FastPaymentResult]]:
+    """The pricing loop of :func:`pairwise_vcg_payments`: yields
+    ``((i, j), result)`` once per distinct pair, in first-seen order,
+    with the whole Algorithm-1 result, so a caller can keep what it
+    needs of each (the :class:`~repro.engine.PricingEngine` keeps the
+    payment and one witnessed cost) before the next is computed."""
+    seen: set[tuple[int, int]] = set()
     spts: dict[int, ShortestPathTree] = spt_cache if spt_cache is not None else {}
     spt_backend = spt_backend_for(backend)
 
@@ -99,9 +119,10 @@ def pairwise_vcg_payments(
             _metrics.add("allpairs.spt_builds", len(built))
 
     for i, j in pair_list:
-        if (i, j) in out:
+        if (i, j) in seen:
             continue
-        out[(i, j)] = fast_vcg_payments(
+        seen.add((i, j))
+        res = fast_vcg_payments(
             g,
             i,
             j,
@@ -109,10 +130,10 @@ def pairwise_vcg_payments(
             backend=backend,
             spt_source=spt_of(i),
             spt_target=spt_of(j),
-        ).to_unicast_payment()
+        )
         if _metrics.enabled:
             _metrics.add("allpairs.pairs_priced", 1)
-    return out
+        yield (i, j), res
 
 
 class TrafficMatrix:

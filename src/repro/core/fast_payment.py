@@ -471,9 +471,9 @@ def _tables_numpy(
     over the same float64 sums, and a min does not depend on order.
     Relaxation adds the head cost to the settled distance as the scalar
     Dijkstra does, and with non-negative monotone addition the settled
-    distances do not depend on tie-breaking. Zero weights take the
-    scipy SPT backend's ``1e-300`` nudge and ``< 1e-250`` clip, so both
-    compiled searches share one zero-cost convention.
+    distances do not depend on tie-breaking. A zero cost or seed is an
+    explicit 0, which scipy reads as a zero-weight arc, as in the scipy
+    SPT backend.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
@@ -510,10 +510,9 @@ def _tables_numpy(
         return c_minus, crossing_best, crossing_edges, 0, 0
     member_costs = g.costs[members]
     head = np.full(n, np.inf)
-    head[members] = np.where(member_costs > 0.0, member_costs, 1e-300)
+    head[members] = member_costs
     seeds = np.full(n, np.inf)
     seeds[members] = member_costs + best_hi[members]
-    seeds[seeds <= 0.0] = 1e-300
     weights = np.concatenate(
         [np.where(l_src == l_dst, head[dst], np.inf), seeds]
     )
@@ -522,7 +521,6 @@ def _tables_numpy(
         (weights, indices, indptr), shape=(n + 1, n + 1), copy=False
     )
     dist = sp_dijkstra(matrix, directed=True, indices=n)[members]
-    dist[dist < 1e-250] = 0.0
     # Step 4: close every region node through its cheapest lower-level
     # neighbour. Unreached nodes carry dist=inf and nodes without a lower
     # neighbour best_lo=inf, so they drop out of the min, as in the

@@ -22,30 +22,35 @@ at:
 * an **SPT cache** ``root -> ShortestPathTree`` (Algorithm 1 consumes
   one tree per endpoint; trees are shared across every pair touching the
   endpoint, exactly like :func:`repro.core.allpairs.pairwise_vcg_payments`);
-* a **pair cache** ``(source, target) -> FastPaymentResult`` holding the
-  full Algorithm-1 output (the intermediates are what make retention
-  decidable, see below).
+* a **pair cache** ``(source, target) -> (payment, witnessed)`` holding
+  the answer, a :class:`~repro.core.mechanism.UnicastPayment`, plus the
+  one number of the Algorithm-1 run that retention needs: ``witnessed``
+  = ``max(lcp_cost, max(avoiding_costs))``, the largest path cost the
+  run looked at (``inf`` in the link model and for monopolized pairs,
+  so those entries never survive an update). ``price``, ``price_many``
+  at any ``jobs`` and recovery all store this one shape.
 
 A stamp that does not match the current version marks the entry stale.
 A *node cost update* itself does almost no work: it swaps the graph
 snapshot, bumps the version and appends a ``(node, old, new)`` record
-to a bounded **update log**. A stale *tree* is simply rebuilt at its
-next use: measured on steady-state workloads, incremental tree repair
-never beat one compiled Dijkstra. A stale *pair* is worth more (two trees plus an Algorithm-1
-pass), so whether it is still usable is decided lazily, at lookup, by
-*fast-forwarding* it through the logged updates one at a time —
-entries nobody asks for again never cost anything. A fast-forwarded
+and the new cost vector to a bounded **update log**. A stale *tree* is
+simply rebuilt at its next use: measured on steady-state workloads,
+incremental tree repair never beat one compiled Dijkstra. A stale
+*pair* is worth more (two trees plus an Algorithm-1 pass), so whether
+it is still usable is decided lazily, at lookup, by *fast-forwarding*
+it through the logged updates one at a time — entries nobody asks for
+again never cost anything. A fast-forwarded
 pair is re-stamped (counted per logged step as ``retained``); one that
 fails is dropped (counted as ``invalidations``, or ``stale_evictions``
 when it aged out of the log). Per logged update ``k: c_old -> c_new``:
 
 * **Pair survival.** A cached result for ``(s, t)`` survives trivially
   when ``k`` is an endpoint (endpoint costs never enter path costs or
-  payments, Section II.C). Otherwise let ``B`` be the largest quantity
-  the result witnessed — ``max(lcp_cost, max(avoiding_costs))``. Path
-  costs in the node model are *symmetric* (reversing a path keeps its
-  internal nodes), so one **witness tree** rooted at ``k`` — built
-  once per logged update, shared by every cached pair — supplies
+  payments, Section II.C). Otherwise let ``B`` be the entry's
+  ``witnessed`` cost. Path costs in the node model are *symmetric*
+  (reversing a path keeps its internal nodes), so one **witness tree**
+  rooted at ``k`` — built once per logged update, on the cost vector
+  that update produced, and shared by every cached pair — supplies
   ``d_s[k] = d_k[s]`` and ``d_t[k] = d_k[t]`` for all endpoints at
   once. These distances never include ``c_k`` (root cost) nor the
   endpoint's own cost, so they are valid on both the old and the new
@@ -70,7 +75,7 @@ seeded uniform costs, which are tie-free almost surely).
 Batching
 --------
 
-``price_many`` funnels cache misses into
+``price_many`` funnels cache misses into the loop behind
 :func:`~repro.core.allpairs.pairwise_vcg_payments`, sharing the
 engine's SPT cache, and optionally fans independent chunks out over
 worker processes via :func:`repro.analysis.parallel.run_tasks`
@@ -135,8 +140,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.allpairs import pairwise_vcg_payments
-from repro.core.fast_payment import FastPaymentResult, fast_vcg_payments
+from repro.core.allpairs import _fast_results
+from repro.core.fast_payment import fast_vcg_payments
 from repro.core.link_vcg import link_vcg_payments
 from repro.core.mechanism import (
     UnicastPayment,
@@ -222,20 +227,34 @@ _LOG_CAP = 128
 
 @dataclass
 class _CostUpdate:
-    """One logged node-cost update, with everything pair fast-forward
-    needs: the snapshot it produced and a witness tree rooted at the
-    updated node, built lazily on that snapshot (see the module
-    docstring's pair-survival test)."""
+    """One logged node-cost update: the node, its old and new cost, and
+    the cost vector the update produced. The topology is the engine's
+    current one (any topology change flushes the log), so the vector is
+    all it takes to rebuild that snapshot. The witness tree rooted at
+    the updated node is built from it lazily, at the first pair
+    survival test that needs it (see the module docstring)."""
 
     node: int
     old: float
     new: float
-    graph: NodeWeightedGraph
+    costs: np.ndarray
     witness: ShortestPathTree | None = None
 
 
+def _entry_of(res) -> tuple[UnicastPayment, float]:
+    """Reduce a node-model Algorithm-1 result to its pair-cache entry:
+    the payment and ``witnessed``, the largest path cost the run looked
+    at (``max(lcp_cost, max(avoiding_costs))``), which is all pair
+    survival reads."""
+    witnessed = res.lcp_cost
+    if res.avoiding_costs:
+        witnessed = max(witnessed, max(res.avoiding_costs.values()))
+    return res.to_unicast_payment(), witnessed
+
+
 def _price_node_chunk(graph, pairs, on_monopoly, backend):
-    """Worker task: price one chunk of pairs (node model).
+    """Worker task: price one chunk of pairs (node model) into
+    ``pair -> (payment, witnessed)`` entries.
 
     Module-level so it pickles into :func:`repro.analysis.parallel`
     worker processes. ``graph`` may be a real graph or a zero-copy
@@ -243,19 +262,25 @@ def _price_node_chunk(graph, pairs, on_monopoly, backend):
     """
     from repro.analysis.shm import resolve_graph
 
-    return pairwise_vcg_payments(
+    results = _fast_results(
         resolve_graph(graph), pairs, on_monopoly=on_monopoly, backend=backend
     )
+    return {key: _entry_of(res) for key, res in results}
 
 
 def _price_link_chunk(dg, pairs, on_monopoly, backend):
-    """Worker task: price one chunk of pairs (link model)."""
+    """Worker task: price one chunk of pairs (link model). Link entries
+    witness ``inf``: arc updates flush the log, so none is ever tested
+    for survival."""
     from repro.analysis.shm import resolve_graph
 
     dg = resolve_graph(dg)
     return {
-        (s, t): link_vcg_payments(
-            dg, s, t, on_monopoly=on_monopoly, backend=backend
+        (s, t): (
+            link_vcg_payments(
+                dg, s, t, on_monopoly=on_monopoly, backend=backend
+            ),
+            np.inf,
         )
         for s, t in pairs
     }
@@ -324,9 +349,12 @@ class PricingEngine:
         self._rw = RWLock()
         self._closed = False
         self._version = 0
-        # root -> (version_stamp, tree); (source, target) -> (stamp, result)
+        # root -> (version_stamp, tree);
+        # (source, target) -> (stamp, payment, witnessed)
         self._spts: dict[int, tuple[int, ShortestPathTree]] = {}
-        self._pairs: dict[tuple[int, int], tuple[int, object]] = {}
+        self._pairs: dict[
+            tuple[int, int], tuple[int, UnicastPayment, float]
+        ] = {}
         # version -> the cost update that produced it; a stale entry
         # stamped v can fast-forward iff v >= _log_floor (every later
         # update is still in the log).
@@ -544,14 +572,14 @@ class PricingEngine:
         return self._answer((source, target))
 
     def _answer(
-        self, key: tuple[int, int], current: object | None = None
+        self, key: tuple[int, int], current: UnicastPayment | None = None
     ) -> UnicastPayment:
         """Serve one validated ``source != target`` query with the
         accounting every query gets: ``queries``, a request scope, the
         ``engine.price`` span, the flight ``query`` event and the
         ``engine.price_time`` timer.
 
-        ``current`` is the cached result of an entry the caller already
+        ``current`` is the cached payment of an entry the caller already
         found stamped at this version (:meth:`price_hit`); without it
         the pair cache is consulted and a miss is computed.
         """
@@ -598,36 +626,34 @@ class PricingEngine:
                 )
             return res
 
-    def _hit(self, res: object) -> UnicastPayment:
-        """Count a pair-cache hit and unwrap the cached result."""
+    def _hit(self, payment: UnicastPayment) -> UnicastPayment:
+        """Count a pair-cache hit and return its cached payment."""
         self.stats.cache_hits += 1
         self._count("cache_hits")
         _flight.record("hit", version=self._version)
-        if isinstance(res, FastPaymentResult):
-            return res.to_unicast_payment()
-        return res
+        return payment
 
     def _lookup_pair(self, key: tuple[int, int]) -> UnicastPayment | None:
         entry = self._pairs.get(key)
         if entry is not None:
-            stamp, res = entry
-            if stamp == self._version or self._fast_forward_pair(
-                key, stamp, res
+            if entry[0] == self._version or self._fast_forward_pair(
+                key, entry
             ):
-                return self._hit(res)
+                return self._hit(entry[1])
         self.stats.cache_misses += 1
         self._count("cache_misses")
         _flight.record("miss", version=self._version)
         return None
 
     def _fast_forward_pair(
-        self, key: tuple[int, int], stamp: int, res: object
+        self, key: tuple[int, int], entry: tuple[int, UnicastPayment, float]
     ) -> bool:
         """Re-stamp a stale pair if every logged update provably left it
         unchanged; evict it otherwise."""
+        stamp, payment, witnessed = entry
         if stamp >= self._log_floor:
             for v in range(stamp + 1, self._version + 1):
-                if not self._pair_survives(res, key, self._log[v]):
+                if not self._pair_survives(witnessed, key, self._log[v]):
                     self._pairs.pop(key, None)
                     self.stats.invalidations += 1
                     self._count("invalidations")
@@ -635,7 +661,7 @@ class PricingEngine:
                     return False
                 self.stats.retained += 1
                 self._count("retained")
-            self._pairs[key] = (self._version, res)
+            self._pairs[key] = (self._version, payment, witnessed)
             _flight.record(
                 "fast_forward",
                 version=self._version,
@@ -651,26 +677,28 @@ class PricingEngine:
     def _compute_pair(self, key: tuple[int, int]) -> UnicastPayment:
         source, target = key
         if self._model == "node":
-            fast = fast_vcg_payments(
+            payment, witnessed = _entry_of(
+                fast_vcg_payments(
+                    self._graph,
+                    source,
+                    target,
+                    on_monopoly=self._on_monopoly,
+                    backend=self._backend,
+                    spt_source=self._spt_of(source),
+                    spt_target=self._spt_of(target),
+                )
+            )
+        else:
+            payment = link_vcg_payments(
                 self._graph,
                 source,
                 target,
                 on_monopoly=self._on_monopoly,
                 backend=self._backend,
-                spt_source=self._spt_of(source),
-                spt_target=self._spt_of(target),
             )
-            self._pairs[key] = (self._version, fast)
-            return fast.to_unicast_payment()
-        res = link_vcg_payments(
-            self._graph,
-            source,
-            target,
-            on_monopoly=self._on_monopoly,
-            backend=self._backend,
-        )
-        self._pairs[key] = (self._version, res)
-        return res
+            witnessed = np.inf
+        self._pairs[key] = (self._version, payment, witnessed)
+        return payment
 
     def price_many(
         self,
@@ -775,12 +803,7 @@ class PricingEngine:
                                 for priced in run_tasks(
                                     fn, tasks, jobs=n_jobs
                                 ):
-                                    for key, payment in priced.items():
-                                        out[key] = payment
-                                        self._pairs[key] = (
-                                            self._version,
-                                            payment,
-                                        )
+                                    out.update(self._store(priced))
                 except ReproError:
                     raise
                 except Exception as exc:
@@ -802,29 +825,42 @@ class PricingEngine:
                 )
             return out
 
+    def _store(
+        self, priced: dict[tuple[int, int], tuple[UnicastPayment, float]]
+    ) -> dict[tuple[int, int], UnicastPayment]:
+        """Cache a batch's ``pair -> (payment, witnessed)`` entries at
+        this version; returns ``pair -> payment``."""
+        out = {}
+        for key, (payment, witnessed) in priced.items():
+            self._pairs[key] = (self._version, payment, witnessed)
+            out[key] = payment
+        return out
+
     def _price_batch_serial(
         self, todo: Sequence[tuple[int, int]]
     ) -> dict[tuple[int, int], UnicastPayment]:
         if self._model == "link":
-            priced = _price_link_chunk(
-                self._graph, todo, self._on_monopoly, self._backend
+            return self._store(
+                _price_link_chunk(
+                    self._graph, todo, self._on_monopoly, self._backend
+                )
             )
-            for key, payment in priced.items():
-                self._pairs[key] = (self._version, payment)
-            return priced
         # Share (and grow) the engine's endpoint-SPT cache.
         shared: dict[int, ShortestPathTree] = {}
         for root, (stamp, spt) in self._spts.items():
             if stamp == self._version:
                 shared[root] = spt
         known = set(shared)
-        priced = pairwise_vcg_payments(
-            self._graph,
-            todo,
-            on_monopoly=self._on_monopoly,
-            backend=self._backend,
-            spt_cache=shared,
-        )
+        priced = {
+            key: _entry_of(res)
+            for key, res in _fast_results(
+                self._graph,
+                todo,
+                on_monopoly=self._on_monopoly,
+                backend=self._backend,
+                spt_cache=shared,
+            )
+        }
         for root, spt in shared.items():
             if root in known:
                 self.stats.spt_cache_hits += 1
@@ -833,9 +869,7 @@ class PricingEngine:
                 self.stats.spt_cache_misses += 1
                 self._count("spt_cache_misses")
                 self._spts[root] = (self._version, spt)
-        for key, payment in priced.items():
-            self._pairs[key] = (self._version, payment)
-        return priced
+        return self._store(priced)
 
     # -- updates -------------------------------------------------------------
 
@@ -882,7 +916,9 @@ class PricingEngine:
             return self._version
         self._graph = self._graph.with_declaration(node, value)
         self._bump_update()
-        self._log[self._version] = _CostUpdate(node, old, value, self._graph)
+        self._log[self._version] = _CostUpdate(
+            node, old, value, self._graph.costs
+        )
         if len(self._log) > _LOG_CAP:
             self._log_floor = min(self._log)
             del self._log[self._log_floor]
@@ -903,22 +939,26 @@ class PricingEngine:
 
     def _witness_of(self, upd: _CostUpdate) -> ShortestPathTree:
         """The update's witness tree (rooted at the updated node), built
-        on first use against the snapshot the update produced."""
+        on first use against the snapshot the update produced: the
+        current topology under the update's cost vector."""
         if upd.witness is None:
+            # The newest update's snapshot is the current graph, whose
+            # tail-cost matrix the SPT cache has usually built already.
+            graph = self._graph
+            if graph.costs is not upd.costs:
+                graph = graph.with_costs(upd.costs)
             upd.witness = node_weighted_spt(
-                upd.graph, upd.node, backend=spt_backend_for(self._backend)
+                graph, upd.node, backend=spt_backend_for(self._backend)
             )
         return upd.witness
 
     def _pair_survives(
-        self, res: object, key: tuple[int, int], upd: _CostUpdate
+        self, witnessed: float, key: tuple[int, int], upd: _CostUpdate
     ) -> bool:
         s, t = key
         k = upd.node
         if k == s or k == t:
             return True  # endpoint costs never enter path costs or payments
-        if not isinstance(res, FastPaymentResult):
-            return False  # batch entries carry no intermediates; drop
         witness = self._witness_of(upd)
         # Node-model path costs are symmetric, so the witness tree's
         # dist doubles as d_s[k] and d_t[k] for every cached endpoint.
@@ -927,9 +967,6 @@ class PricingEngine:
             + min(upd.old, upd.new)
             + float(witness.dist[t])
         )
-        witnessed = res.lcp_cost
-        if res.avoiding_costs:
-            witnessed = max(witnessed, max(res.avoiding_costs.values()))
         if not np.isfinite(witnessed):
             return False
         # Strict clearance with a relative margin. The bound is tight
@@ -1035,14 +1072,14 @@ class PricingEngine:
         """Snapshot everything a checkpoint preserves (current-version
         cache entries only — stale ones would be rebuilt anyway)."""
         spts: dict[int, ShortestPathTree] = {}
-        pairs: dict[tuple[int, int], object] = {}
+        pairs: dict[tuple[int, int], tuple[UnicastPayment, float]] = {}
         if include_caches:
             for root, (stamp, spt) in self._spts.items():
                 if stamp == self._version:
                     spts[root] = spt
-            for key, (stamp, res) in self._pairs.items():
+            for key, (stamp, payment, witnessed) in self._pairs.items():
                 if stamp == self._version:
-                    pairs[key] = res
+                    pairs[key] = (payment, witnessed)
         return _persist_mod.CheckpointState(
             graph=self._graph,
             graph_version=self._version,
@@ -1126,8 +1163,8 @@ class PricingEngine:
         eng._log_floor = state.graph_version
         for root, spt in state.spts.items():
             eng._spts[root] = (state.graph_version, spt)
-        for key, res in state.pairs.items():
-            eng._pairs[key] = (state.graph_version, res)
+        for key, (payment, witnessed) in state.pairs.items():
+            eng._pairs[key] = (state.graph_version, payment, witnessed)
         applied = 0
         for rec in records:
             recorded = int(rec.get("version", -1))
@@ -1221,7 +1258,7 @@ class PricingEngine:
                 if stamp != self._version:
                     del self._spts[root]
                     dropped += 1
-            for key, (stamp, _) in list(self._pairs.items()):
+            for key, (stamp, _, _) in list(self._pairs.items()):
                 if stamp != self._version:
                     del self._pairs[key]
                     dropped += 1

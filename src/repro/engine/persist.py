@@ -95,11 +95,12 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any
+from typing import IO
 
 import numpy as np
 
 from repro import io as repro_io
+from repro.core.mechanism import UnicastPayment
 from repro.errors import PersistError, RecoveryError
 from repro.graph.link_graph import LinkWeightedDigraph
 from repro.graph.node_graph import NodeWeightedGraph
@@ -137,7 +138,7 @@ FSYNC_POLICIES = ("always", "interval", "never")
 WAL_FORMAT = "engine-wal"
 WAL_SCHEMA_VERSION = 1
 CHECKPOINT_FORMAT = "engine-checkpoint"
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _CKPT_GLOB = "checkpoint-*.json"
 _WAL_GLOB = "wal-*.jsonl"
@@ -306,9 +307,12 @@ class CheckpointState:
     model: str
     backend: str
     on_monopoly: str
-    #: Warm cache entries stamped at ``graph_version`` (optional).
+    #: Warm cache entries stamped at ``graph_version`` (optional); a
+    #: pair maps to its ``(payment, witnessed)`` pair-cache entry.
     spts: dict[int, ShortestPathTree] = field(default_factory=dict)
-    pairs: dict[tuple[int, int], Any] = field(default_factory=dict)
+    pairs: dict[tuple[int, int], tuple[UnicastPayment, float]] = field(
+        default_factory=dict
+    )
 
 
 def _encode_state(state: CheckpointState) -> dict:
@@ -330,11 +334,24 @@ def _encode_state(state: CheckpointState) -> dict:
             {
                 "source": int(s),
                 "target": int(t),
-                "result": repro_io.to_dict(res),
+                "payment": repro_io.to_dict(payment),
+                "witnessed": _enc_float(witnessed),
             }
-            for (s, t), res in state.pairs.items()
+            for (s, t), (payment, witnessed) in state.pairs.items()
         ],
     }
+
+
+def _drop_v1_pairs(data: dict) -> dict:
+    """Checkpoint v1 -> v2: v1 pair rows held a whole Algorithm-1
+    result (or a bare payment) under ``"result"``; v2 rows hold the
+    ``(payment, witnessed)`` entry. Cached pairs only save work, so the
+    step drops them and keeps the graph, version and SPTs; the
+    recovered engine prices those pairs again, to the same numbers."""
+    return {**data, "pairs": []}
+
+
+repro_io.register_migration(CHECKPOINT_FORMAT, 1, _drop_v1_pairs)
 
 
 def _decode_state(data: dict) -> CheckpointState:
@@ -348,7 +365,10 @@ def _decode_state(data: dict) -> CheckpointState:
     pairs = {}
     for entry in data.get("pairs", []):
         key = (int(entry["source"]), int(entry["target"]))
-        pairs[key] = repro_io.from_dict(entry["result"])
+        pairs[key] = (
+            repro_io.decode_as(UnicastPayment, entry["payment"]),
+            _dec_float(entry["witnessed"]),
+        )
     return CheckpointState(
         graph=repro_io.from_dict(data["graph"]),
         graph_version=int(data["graph_version"]),

@@ -142,8 +142,9 @@ def all_sources_removal_distances(
     # Flat COO arrays of the *reverse* graph.
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(rev.indptr))
     dst = rev.indices
-    wts = rev.weights.copy()
-    wts[wts == 0.0] = 1e-300  # keep explicit zeros in the sparse matrix
+    # Zero weights stay explicit zeros through the COO -> CSR build,
+    # and scipy's csgraph reads them as zero-weight arcs.
+    wts = rev.weights
 
     if removed_nodes is None:
         removed_nodes = range(n)
@@ -158,7 +159,6 @@ def all_sources_removal_distances(
         mat = csr_matrix((wts[keep], (src[keep], dst[keep])), shape=(n, n))
         dist = sp_dijkstra(mat, directed=True, indices=root)
         dist = np.where(np.isfinite(dist), dist, np.inf)
-        dist[(dist < 1e-250) & np.isfinite(dist)] = 0.0
         if k != root:
             dist[k] = np.inf
         out[k] = dist

@@ -175,16 +175,17 @@ def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
     mat = g.to_tailcost_matrix()
-    # The source relays its own packet for free (Section II.C): nudge its
-    # outgoing arcs to ~0 (an exact 0 would read as a missing arc). The
-    # cached matrix is shared — the engine's read lock admits concurrent
-    # builders for different roots, and a concurrent batched solve reads
-    # it too — so it must never be patched in place: clone the data
-    # vector, patch the clone, and wrap it with the shared index arrays
-    # (``copy=False``). The clone is O(m) floats, far below the solve.
+    # The source relays its own packet for free (Section II.C): its
+    # outgoing arcs weigh an explicit 0, which scipy reads as a
+    # zero-weight arc. The cached matrix is shared — the engine's read
+    # lock admits concurrent builders for different roots, and a
+    # concurrent batched solve reads it too — so it must never be
+    # patched in place: clone the data vector, patch the clone, and wrap
+    # it with the shared index arrays (``copy=False``). The clone is
+    # O(m) floats, far below the solve.
     lo, hi = int(mat.indptr[root]), int(mat.indptr[root + 1])
     data = mat.data.copy()
-    data[lo:hi] = 1e-300
+    data[lo:hi] = 0.0
     patched = csr_matrix(
         (data, mat.indices, mat.indptr), shape=mat.shape, copy=False
     )
@@ -195,8 +196,6 @@ def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
         return_predecessors=True,
     )
     dist = np.where(np.isfinite(dist), dist, np.inf)
-    # Clip the zero-cost nudges back to exact zeros.
-    dist[dist < 1e-250] = 0.0
     dist[root] = 0.0
     parent = pred.astype(np.int64)
     parent[parent < 0] = -1
@@ -246,19 +245,20 @@ def _node_spt_many_scipy(
 ) -> dict[int, ShortestPathTree]:
     """All-sources solve over one augmented matrix, one compiled call.
 
-    The per-source scipy path nudges the *root's* outgoing arcs to
-    ~0 so the source relays its own packet for free (Section II.C).
-    That patch is per-source, so a single shared matrix cannot serve
-    every root directly. Instead, each root ``s`` gets a **virtual
-    source** row ``n + i`` replaying ``s``'s outgoing arcs at the same
-    1e-300 nudge; the first block of the matrix is the unmodified
-    tail-cost CSR. A shortest path ``n+i -> x`` then performs exactly
-    the float additions of the per-source path ``s -> x`` (first arc
-    1e-300, then the same tail costs left to right), and paths that
-    re-enter ``s`` at its full cost are never shorter than their
-    shortcut through the virtual row (float addition of non-negatives
-    is monotone), so the returned ``dist`` arrays are bit-identical to
-    the per-source ones. Virtual predecessors are mapped back to ``s``.
+    The per-source scipy path zeroes the *root's* outgoing arcs so
+    the source relays its own packet for free (Section II.C). That
+    patch is per-source, so a single shared matrix cannot serve every
+    root directly. Instead, each root ``s`` gets a **virtual source**
+    row ``n + i`` replaying ``s``'s outgoing arcs at weight 0 (explicit
+    zeros, which scipy reads as zero-weight arcs); the first block of
+    the matrix is the unmodified tail-cost CSR. A shortest path
+    ``n+i -> x`` then performs exactly the float additions of the
+    per-source path ``s -> x`` (first arc 0, then the same tail costs
+    left to right), and paths that re-enter ``s`` at its full cost are
+    never shorter than their shortcut through the virtual row (float
+    addition of non-negatives is monotone), so the returned ``dist``
+    arrays are bit-identical to the per-source ones. Virtual
+    predecessors are mapped back to ``s``.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
@@ -275,7 +275,7 @@ def _node_spt_many_scipy(
         )
     else:
         vidx = np.empty(0, dtype=np.int64)
-    data = np.concatenate([base.data, np.full(total, 1e-300)])
+    data = np.concatenate([base.data, np.zeros(total)])
     indices = np.concatenate(
         [np.asarray(base.indices, dtype=np.int64), vidx]
     )
@@ -296,9 +296,6 @@ def _node_spt_many_scipy(
     for i, s in enumerate(roots):
         row = dist_all[i, :n]
         dist = np.where(np.isfinite(row), row, np.inf)
-        # Clip the zero-cost nudges back to exact zeros (same clip as
-        # the per-source path).
-        dist[dist < 1e-250] = 0.0
         dist[s] = 0.0
         parent = pred_all[i, :n].astype(np.int64)
         parent[parent == n + i] = s
@@ -410,9 +407,6 @@ def _link_spt_scipy(dg: LinkWeightedDigraph, root: int) -> ShortestPathTree:
         return_predecessors=True,
     )
     dist = np.where(np.isfinite(dist), dist, np.inf)
-    # Undo the zero-weight nudge (1e-300 per arc is below float resolution
-    # after any realistic cost, but be explicit for all-zero toy graphs).
-    dist[dist < 1e-250] = 0.0
     parent = pred.astype(np.int64)
     parent[parent < 0] = -1
     return _flush_scipy_counters(ShortestPathTree(root, dist, parent))

@@ -306,17 +306,14 @@ class LinkWeightedDigraph:
     def to_scipy_csr(self):
         """CSR sparse matrix of arc weights (cached; do not mutate).
 
-        Zero-weight arcs are nudged to a tiny positive value so scipy's
-        sparse representation does not drop them; the nudge (1e-300) is far
-        below any cost resolution used by the library.
+        A zero-weight arc is stored as an explicit 0, which
+        ``scipy.sparse.csgraph`` reads as a zero-weight arc.
         """
         if self._csr is None:
             from scipy.sparse import csr_matrix
 
-            data = self.weights.copy()
-            data[data == 0.0] = 1e-300
             self._csr = csr_matrix(
-                (data, self.indices.copy(), self.indptr.copy()),
+                (self.weights.copy(), self.indices.copy(), self.indptr.copy()),
                 shape=(self.n, self.n),
             )
         return self._csr

@@ -377,10 +377,9 @@ class NodeWeightedGraph:
         ``dist`` arrays, and (unlike a transform that needs a correction
         term) ``dist[x]`` never depends on the costs of the endpoints,
         even in the last ulp — which is what lets the PricingEngine keep
-        a cached tree across an endpoint re-declaration. Zero costs are
-        nudged to 1e-300 (scipy's CSR treats exact zeros as missing
-        arcs); the nudge is annihilated by the first real addition and
-        clipped after the solve.
+        a cached tree across an endpoint re-declaration. A zero cost is
+        stored as an explicit 0, which ``scipy.sparse.csgraph`` reads as
+        a zero-weight arc, so every cost enters the solve unchanged.
 
         The matrix is cached (the graph is immutable) — per-source and
         batched Dijkstra calls over the same snapshot reuse one CSR
@@ -393,7 +392,6 @@ class NodeWeightedGraph:
 
             indptr, indices = self.augmented_csr()
             data = self.costs[self.arc_sources()]
-            data[data <= 0.0] = 1e-300
             self._tailcost = csr_matrix(
                 (data, indices[: self.indices.shape[0]], indptr[:-1]),
                 shape=(self.n, self.n),

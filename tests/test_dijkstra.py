@@ -54,6 +54,27 @@ class TestNodeWeightedSpt:
         b = node_weighted_spt(g, root, backend="scipy")
         assert np.allclose(a.dist, b.dist)
 
+    def test_backends_agree_on_tiny_costs(self):
+        """Costs far below 1e-250 are real costs, exactly: no placeholder
+        weight or clip may stand in for them, per source or batched."""
+        rng = np.random.default_rng(280)
+        for _ in range(30):
+            g = gen.random_biconnected_graph(
+                80, seed=int(rng.integers(2**31))
+            )
+            costs = g.costs.copy()
+            costs[rng.choice(g.n, 20, replace=False)] = rng.uniform(
+                1e-280, 1e-255, 20
+            )
+            g = g.with_costs(costs)
+            roots = rng.choice(g.n, 4, replace=False).tolist()
+            many = node_weighted_spt_many(g, roots, backend="scipy")
+            for root in roots:
+                want = node_weighted_spt(g, root, backend="python").dist
+                got = node_weighted_spt(g, root, backend="scipy").dist
+                assert got.tobytes() == want.tobytes()
+                assert many[root].dist.tobytes() == want.tobytes()
+
     @given(biconnected_graphs(max_nodes=20))
     def test_matches_networkx(self, g):
         spt = node_weighted_spt(g, 0, backend="python")
@@ -145,6 +166,16 @@ class TestLinkWeightedSpt:
         dg = LinkWeightedDigraph(3, [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 5.0)])
         spt = link_weighted_spt(dg, 0, direction="from", backend="scipy")
         assert spt.dist[2] == 0.0
+
+    def test_tiny_weight_arcs_exact(self):
+        from repro.graph.link_graph import LinkWeightedDigraph
+
+        dg = LinkWeightedDigraph(
+            3, [(0, 1, 1e-270), (1, 2, 3e-270), (0, 2, 5.0)]
+        )
+        for backend in ("python", "scipy"):
+            spt = link_weighted_spt(dg, 0, direction="from", backend=backend)
+            assert spt.dist[2] == 1e-270 + 3e-270
 
 
 class TestNodeWeightedSptMany:

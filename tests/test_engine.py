@@ -136,6 +136,23 @@ class TestCaching:
         want = vcg_unicast_payments(eng.graph, 5, 0, method="fast")
         assert dict(got.payments) == dict(want.payments)
 
+    def test_update_log_holds_no_graph(self, random_graph):
+        """A logged update keeps its cost vector, not a graph snapshot
+        (and the O(m) tail-cost matrix one would pin), even once its
+        witness tree is built."""
+        eng = PricingEngine(random_graph, on_monopoly="inf")
+        for s in range(1, 8):
+            eng.price(s, 0)
+        for node, cost in [(9, 0.5), (10, 40.0), (9, 3.0)]:
+            eng.update_cost(node, cost)
+        for s in range(1, 8):
+            eng.price(s, 0)
+        assert any(upd.witness is not None for upd in eng._log.values())
+        for upd in eng._log.values():
+            assert not any(
+                isinstance(v, NodeWeightedGraph) for v in vars(upd).values()
+            )
+
     def test_remove_node_lazily_evicts(self, random_graph):
         eng = PricingEngine(random_graph)
         eng.price(5, 0)
@@ -224,6 +241,33 @@ class TestPriceMany:
                 assert par[key].lcp_cost == ser[key].lcp_cost
                 assert dict(par[key].payments) == dict(ser[key].payments)
         assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_entries_survive_off_path_update(self, jobs):
+        """Batch-priced entries carry the same witnessed cost as single
+        ones, so an update that provably misses every pair leaves them
+        all cached, at any ``jobs``. The answers match from-scratch
+        Algorithm 1 on the updated graph bit for bit, and the naive
+        oracle up to float summation order."""
+        g = gen.random_biconnected_graph(40, seed=5)
+        k = 17  # priced far above any route, so never on one
+        g = g.with_declaration(k, 1e3)
+        pairs = [(i, 0) for i in range(1, g.n) if i != k]
+        eng = PricingEngine(g, on_monopoly="inf")
+        eng.price_many(pairs, jobs=jobs)
+        eng.update_cost(k, 2e3)
+        misses = eng.stats.cache_misses
+        for s, t in pairs:
+            got = engine_answer(eng, s, t)
+            assert got == fresh(eng.graph, s, t)
+            naive = vcg_unicast_payments(
+                eng.graph, s, t, method="naive", on_monopoly="inf"
+            )
+            assert got[1] == naive.path
+            assert got[3] == pytest.approx(dict(naive.payments), abs=1e-9)
+        assert eng.stats.cache_misses == misses
+        assert eng.stats.retained == len(pairs)
+        assert eng.stats.invalidations == 0
 
     def test_deduplicates_pairs(self, random_graph):
         eng = PricingEngine(random_graph)
@@ -371,15 +415,7 @@ class TestPairSurvivalMargin:
         dist = np.full(g.n, np.inf)
         dist[0], dist[1] = 0.1, 0.3  # d_k(s), d_k(t)
         witness = ShortestPathTree(2, dist, np.full(g.n, -1, dtype=np.int64))
-        return eng, _CostUpdate(2, old, new, g, witness=witness)
-
-    @staticmethod
-    def _result(lcp):
-        from repro.core.fast_payment import FastPaymentResult
-
-        return FastPaymentResult(
-            0, 1, (0, 3, 1), lcp, {}, {}, np.full(6, -1, dtype=np.int64)
-        )
+        return eng, _CostUpdate(2, old, new, g.costs, witness=witness)
 
     def test_one_ulp_clearance_drops_the_entry(self):
         # bound = (0.1 + 0.2) + 0.3 is exactly one ULP above the same
@@ -388,13 +424,13 @@ class TestPairSurvivalMargin:
         witnessed = (0.3 + 0.2) + 0.1
         bound = (0.1 + upd.old) + 0.3
         assert bound > witnessed  # the raw strict test would survive
-        assert not eng._pair_survives(self._result(witnessed), (0, 1), upd)
+        assert not eng._pair_survives(witnessed, (0, 1), upd)
 
     def test_genuine_clearance_survives(self):
         eng, upd = self._engine_and_update(old=0.2, new=5.0)
-        assert eng._pair_survives(self._result(0.25), (0, 1), upd)
+        assert eng._pair_survives(0.25, (0, 1), upd)
 
     def test_endpoint_updates_always_survive(self):
         eng, upd = self._engine_and_update(old=0.2, new=5.0)
         upd.node = 0
-        assert eng._pair_survives(self._result(0.6), (0, 1), upd)
+        assert eng._pair_survives(0.6, (0, 1), upd)

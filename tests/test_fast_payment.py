@@ -195,8 +195,8 @@ class TestVectorizedBackend:
         """Zero and small-integer costs, exact agreement.
 
         Equal-cost paths everywhere, and zero-cost arcs and zero region
-        seeds, which the scipy region search carries as ``1e-300``
-        nudges and clips back to exact zeros.
+        seeds, which the scipy region search carries as explicit 0
+        weights.
         """
         rng = np.random.default_rng(16)
         for trial in range(600):
@@ -215,6 +215,27 @@ class TestVectorizedBackend:
             vec = fast_vcg_payments(g, s, t, on_monopoly="inf",
                                     backend="numpy")
             self._assert_identical(scalar, vec)
+
+    def test_numpy_matches_python_tiny_costs(self):
+        """Costs far below 1e-250 on 80-node graphs, exact agreement: a
+        real cost is never replaced by a placeholder or clipped to 0."""
+        rng = np.random.default_rng(255)
+        for _ in range(30):
+            g = gen.random_biconnected_graph(
+                80, seed=int(rng.integers(2**31))
+            )
+            costs = g.costs.copy()
+            costs[rng.choice(g.n, 20, replace=False)] = rng.uniform(
+                1e-280, 1e-255, 20
+            )
+            g = g.with_costs(costs)
+            for _ in range(4):
+                s, t = (int(v) for v in rng.choice(g.n, 2, replace=False))
+                scalar = fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                           backend="python")
+                vec = fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                        backend="numpy")
+                self._assert_identical(scalar, vec)
 
     def test_numpy_matches_python_on_udg_deployment(self):
         """30 pairs on a 500-node unit-disk deployment, exact agreement:

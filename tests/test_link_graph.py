@@ -122,7 +122,7 @@ class TestTransforms:
     def test_scipy_csr_preserves_zero_arcs(self):
         g = LinkWeightedDigraph(2, [(0, 1, 0.0)])
         mat = g.to_scipy_csr()
-        assert mat.nnz == 1  # the zero-weight arc survives via the nudge
+        assert mat.nnz == 1  # the zero-weight arc is an explicit 0
 
     def test_to_networkx(self, tri):
         nx_g = tri.to_networkx()

@@ -160,7 +160,7 @@ class TestTailCostTransform:
     def test_tailcost_matrix_weights(self, g):
         mat = g.to_tailcost_matrix().tocoo()
         for u, _v, w in zip(mat.row, mat.col, mat.data):
-            assert w == (g.costs[u] if g.costs[u] > 0.0 else 1e-300)
+            assert w == g.costs[u]  # zero costs stay explicit zeros
 
     def test_directed_with_both_orientations(self, random_graph):
         mat = random_graph.to_tailcost_matrix()
@@ -184,7 +184,7 @@ class TestTailCostTransform:
 
         g = random_graph
         costs = np.random.default_rng(3).uniform(0.5, 20.0, g.n)
-        costs[4] = 0.0  # a zero cost takes the 1e-300 nudge
+        costs[4] = 0.0  # a zero cost is an explicit 0 arc weight
         v2 = g.with_costs(costs)  # before either version built a matrix
         mat, base = v2.to_tailcost_matrix(), g.to_tailcost_matrix()
         indptr, indices = g.augmented_csr()

@@ -128,8 +128,7 @@ class TestCheckpoint:
             got = loaded.spts[root]
             assert np.array_equal(got.dist, spt.dist)
             assert np.array_equal(got.parent, spt.parent)
-        for key, res in state.pairs.items():
-            assert loaded.pairs[key].payments == res.payments
+        assert loaded.pairs == state.pairs  # (payment, witnessed) tuples
 
     def test_corrupt_checkpoint_detected(self, tmp_path):
         state = PricingEngine(small_graph())._checkpoint_state()
@@ -145,6 +144,62 @@ class TestCheckpoint:
         state = PricingEngine(small_graph())._checkpoint_state()
         persist.write_checkpoint(tmp_path / "checkpoint-00000001.json", state)
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_v1_checkpoint_with_pair_rows_recovers(self, tmp_path):
+        """A schema-1 checkpoint, whose pair rows hold whole Algorithm-1
+        results under ``"result"``, opens through the v1 -> v2 step:
+        graph, version and SPTs load, the pair rows are dropped, and
+        every price matches a fresh engine bit for bit."""
+        from repro import io as repro_io
+        from repro.core.fast_payment import fast_vcg_payments
+        from repro.graph.dijkstra import node_weighted_spt
+
+        g = small_graph()
+        pairs = [(5, 0), (9, 0), (3, 12)]
+        spts = {r: node_weighted_spt(g, r) for r in (0, 5, 9)}
+        data = {
+            "graph": repro_io.to_dict(g),
+            "graph_version": 7,
+            "model": "node",
+            "backend": "auto",
+            "on_monopoly": "inf",
+            "spts": {
+                str(r): {
+                    "root": r,
+                    "dist": [float(x) for x in spt.dist],
+                    "parent": [int(x) for x in spt.parent],
+                }
+                for r, spt in spts.items()
+            },
+            "pairs": [
+                {
+                    "source": s,
+                    "target": t,
+                    "result": repro_io.to_dict(
+                        fast_vcg_payments(g, s, t, on_monopoly="inf")
+                    ),
+                }
+                for s, t in pairs
+            ],
+        }
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        (state_dir / "checkpoint-00000001.json").write_text(json.dumps({
+            "format": persist.CHECKPOINT_FORMAT,
+            "version": 1,
+            "crc": persist._crc_of(data),
+            "data": data,
+        }))
+        eng = PricingEngine.open(state_dir, resume=False)
+        assert eng.graph == g
+        assert eng.version == 7
+        assert eng.cache_sizes() == {"spts": 3, "pairs": 0}
+        for r, spt in spts.items():
+            got = eng._spts[r][1]
+            assert got.dist.tobytes() == spt.dist.tobytes()
+            assert np.array_equal(got.parent, spt.parent)
+        fresh = PricingEngine(g, on_monopoly="inf")
+        assert answers(eng, pairs) == answers(fresh, pairs)
 
 
 # ---------------------------------------------------------------------------
